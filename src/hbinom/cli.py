@@ -1,8 +1,9 @@
 """Command-line interface: sequence terms, binomial cells, triangles with a
 JSONL cache, identity verification, oracle queries, and the whole suite.
 
-Exit codes: 0 success, 1 verification failure or a zero divisor hit during
-computation, 2 usage or configuration errors.
+Exit codes: 0 success, 1 verification failure, a coefficient pair that breaks
+its scalar identity, or a zero divisor hit during computation, 2 usage or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 from . import oracles
 from .binomials import (ZeroTermError, fbinomial, integrality_scan,
                         qstar_transfer, table_for)
-from .recurrences import (FAMILY_TAGS, CoeffFamily, SingularCoefficientError,
-                          verify_pascal, vweighted_verify)
+from .recurrences import (FAMILY_TAGS, CoeffFamily, ScalarIdentityError,
+                          SingularCoefficientError, verify_pascal,
+                          vweighted_verify)
 from .report import FAIL, PASS, Report
 from .ring import Scalar
 from .sequences import (DegenerateRootsError, HoradamSpec, addition_check,
@@ -129,11 +131,16 @@ def default_cache_path() -> str | None:
 
 
 def load_cache(path: str) -> dict[tuple[str, int, int], object]:
+    """Cached cells by (spec hash, n, k).  A record counts once its newline is
+    written: an unterminated last line, left by an interrupted append, is
+    skipped.  Any other bad line is a ConfigError."""
     cache: dict[tuple[str, int, int], object] = {}
     if not os.path.exists(path):
         return cache
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if not line:
                 continue
@@ -147,14 +154,22 @@ def load_cache(path: str) -> dict[tuple[str, int, int], object]:
 
 
 def append_cache(path: str, records: list[dict]) -> None:
+    """Append one JSON line per record.  An unterminated last line, which
+    `load_cache` skips, is cut off first so the batch starts on a fresh line."""
     if not records:
         return
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
+    with open(path, "a+b") as fh:
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+                     + b"\n")
 
 
 def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
@@ -708,10 +723,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ZeroTermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SingularCoefficientError as exc:
+    except (ZeroTermError, SingularCoefficientError, ScalarIdentityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

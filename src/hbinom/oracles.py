@@ -84,7 +84,10 @@ def subspace_count(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n by explicit closure.
 
     Grows spans one generator at a time, deduplicating spans by their
-    membership set; only q in {2, 3} and n <= 4 are supported.
+    membership set; only q in {2, 3} and n <= 4 are supported.  A span is
+    extended only by vectors outside the superspaces already built from it:
+    two distinct one-larger superspaces meet in the span itself, so each is
+    built once.
     """
     if q not in (2, 3):
         raise ValueError("only prime fields of size 2 and 3 are supported")
@@ -94,15 +97,21 @@ def subspace_count(n: int, k: int, q: int) -> int:
     zero = (0,) * n
 
     def extend(space: frozenset, v: tuple) -> frozenset:
-        if v in space:
-            return space
         return frozenset(tuple((wi + c * vi) % q for wi, vi in zip(w, v))
                          for w in space for c in range(q))
 
     spans = {frozenset([zero])}
     for _ in range(k):
-        spans = {extend(space, v) for space in spans for v in vectors}
-    return sum(1 for space in spans if len(space) == q ** k)
+        grown = set()
+        for space in spans:
+            covered = set(space)
+            for v in vectors:
+                if v not in covered:
+                    bigger = extend(space, v)
+                    covered |= bigger
+                    grown.add(bigger)
+        spans = grown
+    return len(spans)
 
 
 # ---------------------------------------------------------------------------

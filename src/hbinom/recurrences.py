@@ -3,7 +3,7 @@
 If a coefficient pair (h1, h2) satisfies the scalar identity
 ``F(r+s) = h1*F(r) + h2*F(s)``, the same pair splits a table cell:
 ``{r+s choose r,s} = h1*{r+s-1 choose r-1,s} + h2*{r+s-1 choose r,s-1}``.
-This module builds the classical coefficient families, asserts the scalar
+This module builds the classical coefficient families, checks the scalar
 identity on construction, and verifies the cell identity over whole tables.
 h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
 """
@@ -22,6 +22,10 @@ CoeffValue = Union[Scalar, QuadExt]
 
 class SingularCoefficientError(ArithmeticError):
     """A coefficient formula divided by a vanishing sequence expression."""
+
+
+class ScalarIdentityError(ArithmeticError):
+    """A coefficient pair breaks F(r+s) = h1*F(r) + h2*F(s)."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,14 @@ def _assert_scalar_identity(fn: Callable[[int], Scalar], pair: CoeffPair) -> Non
     if isinstance(pair.h1, QuadExt):
         d = pair.h1.disc
         lhs = pair.h1 * QuadExt.embed(f_r, d) + pair.h2 * QuadExt.embed(f_s, d)
-        assert lhs == QuadExt.embed(f_rs, d), f"scalar identity broken at {pair}"
+        rhs = QuadExt.embed(f_rs, d)
     else:
-        assert pair.h1 * f_r + pair.h2 * f_s == f_rs, f"scalar identity broken at {pair}"
+        lhs = pair.h1 * f_r + pair.h2 * f_s
+        rhs = f_rs
+    if lhs != rhs:
+        raise ScalarIdentityError(
+            f"scalar identity broken at ({pair.r},{pair.s}): "
+            f"h1*F(r) + h2*F(s) = {lhs}, F(r+s) = {rhs}")
 
 
 def coeffs_binet(binet: BinetSpec, r: int, s: int) -> CoeffPair:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hbinom import recurrences
 from hbinom.cli import CACHE_DIR_ENV, main
+from hbinom.ring import Scalar
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +185,38 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
     assert "cache" in err
 
 
+def test_torn_last_cache_line_is_skipped_and_cut(tmp_path, capsys):
+    cache = tmp_path / "tri.jsonl"
+    args = ("triangle", "--preset", "fibonacci", "--max-n", "3",
+            "--format", "csv", "--cache", str(cache))
+    code, first, _ = run_cli(capsys, *args)
+    assert code == 0
+    good = cache.read_text()
+    lines = good.splitlines(keepends=True)
+    # an append cut off mid-record: the last record is torn, the ones before it stand
+    cache.write_text("".join(lines[:-1]) + lines[-1][:25])
+    code, second, _ = run_cli(capsys, *args)
+    assert code == 0 and second == first
+    # the torn tail is gone and the recomputed record sits on its own line
+    assert cache.read_text() == good
+    code, third, _ = run_cli(capsys, *args)
+    assert code == 0 and third == first
+
+
+def test_bad_terminated_cache_line_still_exits_2(tmp_path, capsys):
+    cache = tmp_path / "tri.jsonl"
+    args = ("triangle", "--preset", "fibonacci", "--max-n", "3",
+            "--cache", str(cache))
+    run_cli(capsys, *args)
+    lines = cache.read_text().splitlines(keepends=True)
+    for bad in (lines[:2] + [lines[2][:25] + "\n"] + lines[3:],   # inside the file
+                lines[:-1] + [lines[-1][:25] + "\n"]):            # terminated last line
+        cache.write_text("".join(bad))
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "bad cache line" in err
+
+
 def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cachedir"))
     code, _, _ = run_cli(capsys, "triangle", "--preset", "fibonacci", "--max-n", "2")
@@ -200,6 +234,15 @@ def test_verify_passes(capsys):
                                "--family", family, "--max-n", "6")
         assert code == 0, family
         assert "fail=0" in out
+
+
+def test_verify_broken_scalar_identity_exits_1(capsys, monkeypatch):
+    # a hu_sun pair built from wrong terms breaks F(r+s) = h1*F(r) + h2*F(s)
+    monkeypatch.setattr(recurrences, "term", lambda spec, n: Scalar(5))
+    code, _, err = run_cli(capsys, "verify", "--preset", "fibonacci",
+                           "--family", "hu_sun", "--max-n", "3")
+    assert code == 1
+    assert "scalar identity broken at (1,1)" in err
 
 
 def test_verify_corcino_needs_rational_roots(capsys):

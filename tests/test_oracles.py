@@ -72,6 +72,15 @@ def test_subspace_counts_frozen():
     assert subspace_count(4, 4, 3) == 1
 
 
+def test_subspace_counts_all_small_cases():
+    # [n, k]_q for n <= 4, row by row
+    expected = {2: [[1], [1, 1], [1, 3, 1], [1, 7, 7, 1], [1, 15, 35, 15, 1]],
+                3: [[1], [1, 1], [1, 4, 1], [1, 13, 13, 1], [1, 40, 130, 40, 1]]}
+    for q, rows in expected.items():
+        assert [[subspace_count(n, k, q) for k in range(n + 1)]
+                for n in range(5)] == rows
+
+
 def test_subspace_counts_match_gaussian():
     for q in (2, 3):
         for n in range(5):

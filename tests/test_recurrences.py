@@ -1,14 +1,19 @@
 """Coefficient families and the two-term recurrence on binomial tables."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbinom.binomials import fbinomial
-from hbinom.recurrences import (CoeffFamily, CoeffPair,
-                                SingularCoefficientError, coeffs_alternating,
+import hbinom
+from hbinom.binomials import fbinomial, sequence_fn
+from hbinom.recurrences import (CoeffFamily, CoeffPair, ScalarIdentityError,
+                                SingularCoefficientError,
+                                _assert_scalar_identity, coeffs_alternating,
                                 coeffs_binet, family_coeffs, family_sequence,
                                 verify_pascal, vweighted_verify)
 from hbinom.ring import ONE, X, QuadExt, Scalar
@@ -190,6 +195,32 @@ def test_corrupted_pair_fails_both_checks():
     for cell in report.cells:
         assert not cell.scalar_ok
         assert not cell.table_ok
+
+
+def test_wrong_pair_breaks_scalar_identity():
+    # F(2) = 1, but 5*F(1) + 5*F(1) = 10
+    with pytest.raises(ScalarIdentityError, match=r"\(1,1\).* = 10, F\(r\+s\) = 1"):
+        _assert_scalar_identity(sequence_fn(FIB), CoeffPair(1, 1, Scalar(5), Scalar(5)))
+
+
+def test_scalar_identity_check_survives_optimize_flag():
+    code = ("from hbinom.binomials import sequence_fn\n"
+            "from hbinom.recurrences import CoeffPair, ScalarIdentityError, "
+            "_assert_scalar_identity\n"
+            "from hbinom.ring import Scalar\n"
+            "from hbinom.sequences import preset\n"
+            "try:\n"
+            "    _assert_scalar_identity(sequence_fn(preset('fibonacci')),\n"
+            "                            CoeffPair(1, 1, Scalar(5), Scalar(5)))\n"
+            "except ScalarIdentityError:\n"
+            "    print('rejected')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hbinom.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"
 
 
 def test_scalar_and_table_checks_agree_cellwise():
