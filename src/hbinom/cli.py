@@ -3,7 +3,7 @@ JSONL cache, identity verification, oracle queries, and the whole suite.
 
 Exit codes: 0 success, 1 verification failure, a coefficient pair that breaks
 its scalar identity, or a zero divisor hit during computation, 2 usage or
-configuration errors.
+configuration errors, including a sequence a family cannot be built for.
 """
 
 from __future__ import annotations
@@ -21,22 +21,15 @@ from fractions import Fraction
 from . import oracles
 from .binomials import (ZeroTermError, fbinomial, integrality_scan,
                         qstar_transfer, table_for)
-from .recurrences import (FAMILY_TAGS, CoeffFamily, ScalarIdentityError,
-                          SingularCoefficientError, verify_pascal,
-                          vweighted_verify)
-from .report import FAIL, PASS, Report
+from .recurrences import (FAMILY_TAGS, FamilyRequirementError,
+                          ScalarIdentityError, SingularCoefficientError,
+                          resolve_family, verify_pascal, vweighted_verify)
+from .report import Report
 from .ring import Scalar
 from .sequences import (DegenerateRootsError, HoradamSpec, addition_check,
-                        char_roots, preset, series_verify, term)
+                        preset, series_verify, term)
 
 CACHE_DIR_ENV = "HBINOM_CACHE_DIR"
-
-ORACLE_NAMES = ("box", "zigzag", "inversion", "gauss", "subspaces",
-                "tilings", "bracelets", "md_fibonomial", "errata_fibonomial",
-                "md_ubinomial")
-
-SUITE_ORACLE_GROUPS = ("fourway", "subspaces", "tilings", "md_formulas",
-                       "qstar", "integrality", "series", "addition")
 
 VERIFY_FAMILIES = FAMILY_TAGS + ("vweighted",)
 
@@ -259,54 +252,24 @@ def cmd_triangle(args) -> int:
     return 0
 
 
-def resolve_family(tag: str, spec: HoradamSpec):
-    """Family instance plus the sequence whose table it certifies.
-
-    Root-based and fundamental-sequence families always target the (0, 1, s, t)
-    table for the spec's weights; the generic families target the spec itself.
-    """
-    tag = tag.strip().lower()
-    fundamental = HoradamSpec(Scalar(0), Scalar(1), spec.s, spec.t)
-    if tag == "binet":
-        return CoeffFamily.binet(spec), spec
-    if tag == "alternating":
-        return CoeffFamily.alternating(spec), spec
-    if tag == "gould":
-        return CoeffFamily.gould(spec), spec
-    if tag == "gould_symmetric":
-        return CoeffFamily.gould_symmetric(spec), spec
-    if tag == "hu_sun":
-        return CoeffFamily.hu_sun(spec.s, spec.t), fundamental
-    if tag in ("corcino_a", "corcino_b"):
-        p, q = char_roots(spec)
-        if not (p.beta.is_zero() and q.beta.is_zero()):
-            raise ConfigError(
-                f"family {tag} needs rational characteristic roots; "
-                f"discriminant {spec.discriminant()} is not a perfect square")
-        ctor = CoeffFamily.corcino_a if tag == "corcino_a" else CoeffFamily.corcino_b
-        return ctor(p.project(), q.project()), fundamental
-    raise ConfigError(f"unknown family {tag!r}; choose from {', '.join(VERIFY_FAMILIES)}")
-
-
 def cmd_verify(args) -> int:
     spec = parse_spec_args(args)
     if args.max_n < 1:
         raise ConfigError("--max-n must be at least 1")
-    report = Report()
     tag = args.family.strip().lower()
-    try:
-        if tag == "vweighted":
-            vw = vweighted_verify(spec, args.max_n)
-            for cell in vw.cells:
-                report.add("vweighted", (cell.r, cell.s), cell.ok,
-                           str(cell.lhs), str(cell.rhs))
-        else:
-            family, target = resolve_family(tag, spec)
-            pascal = verify_pascal(target, family, args.max_n)
-            for cell in pascal.cells:
-                report.add(f"pascal:{tag}", (cell.r, cell.s), cell.ok)
-    except DegenerateRootsError as exc:
-        raise ConfigError(str(exc)) from exc
+    if tag not in VERIFY_FAMILIES:
+        raise ConfigError(f"unknown family {tag!r}; choose from {', '.join(VERIFY_FAMILIES)}")
+    report = Report()
+    if tag == "vweighted":
+        vw = vweighted_verify(spec, args.max_n)
+        for cell in vw.cells:
+            report.add("vweighted", (cell.r, cell.s), cell.ok,
+                       str(cell.lhs), str(cell.rhs))
+    else:
+        family = resolve_family(tag, spec)
+        pascal = verify_pascal(family.seq, family, args.max_n)
+        for cell in pascal.cells:
+            report.add(f"pascal:{tag}", (cell.r, cell.s), cell.ok)
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")
     else:
@@ -314,41 +277,71 @@ def cmd_verify(args) -> int:
     return 0 if report.all_ok else 1
 
 
+# A step is one object an oracle enumerates times the work on it; a step takes
+# 0.05-0.45 us on a 2-vCPU x86 host with CPython 3.11 (md_fibonomial at C(20,10)
+# is 1.8e6 steps and 0.5 s), so every query under ORACLE_MAX_STEPS answers within
+# about 5 s, while queries above it could run for hours.  ORACLE_MAX_DEPTH is
+# half of CPython's default recursion limit; the rest is for the caller's frames.
+ORACLE_MAX_STEPS = 10 ** 7
+ORACLE_MAX_DEPTH = 500
+
+
+def _choose(n: int, k: int) -> int:
+    """C(n, k), 0 outside 0 <= k <= n.  For min(k, n-k) > 40 this is C(n, 40),
+    already far above ORACLE_MAX_STEPS, so a huge n stays cheap."""
+    from math import comb
+    return comb(n, min(k, n - k, 40)) if 0 <= k <= n else 0
+
+
+def _strip_tilings(length: int) -> int:
+    """F(length+1) square-and-domino tilings of a strip, capped at F(40)."""
+    a, b = 0, 1
+    for _ in range(min(length + 1, 40)):
+        a, b = b, a + b
+    return a
+
+
+# name -> (function in `oracles`, looked up at call time; number of integer
+# arguments; their cost as (steps, recursion depth)).  md_ubinomial also takes
+# --s and --t, and each of its Scalar products costs about 60 int products.
+ORACLES = {
+    "box": ("partitions_in_box_gf", 2,
+            lambda h, w: (_choose(h + w, h), h if w > 0 else 0)),
+    "zigzag": ("zigzag_area_gf", 2, lambda n, k: (_choose(n, k) * k, 0)),
+    "inversion": ("inversion_gf", 2, lambda n, k: (_choose(n, k) * n * n // 2, 0)),
+    "gauss": ("gaussian_binomial", 2,
+              lambda n, k: (n ** 4 // 8 if 0 <= k <= n else 0, 0)),
+    # the oracle itself refuses n > 4 and q > 3
+    "subspaces": ("subspace_count", 3, lambda n, k, q: (0, 0)),
+    "tilings": ("colored_tilings", 3, lambda n, s, t: (_strip_tilings(n) * n, n)),
+    "bracelets": ("colored_bracelets", 3, lambda n, s, t: (_strip_tilings(n) * n, n)),
+    "md_fibonomial": ("md_fibonomial", 2, lambda n, k: (_choose(n, k) * k, 0)),
+    "errata_fibonomial": ("errata_fibonomial", 2, lambda n, k: (_choose(n, k) * k, 0)),
+    "md_ubinomial": ("md_ubinomial", 2, lambda n, k: (_choose(n, k) * k * 64, 0)),
+}
+
+
 def cmd_oracle(args) -> int:
     which = args.which
     vals = args.args
-    need = {"box": 2, "zigzag": 2, "inversion": 2, "gauss": 2, "subspaces": 3,
-            "tilings": 3, "bracelets": 3, "md_fibonomial": 2,
-            "errata_fibonomial": 2, "md_ubinomial": 2}
-    if len(vals) != need[which]:
-        raise ConfigError(f"oracle {which} takes {need[which]} integer arguments")
+    fn_name, arity, cost = ORACLES[which]
+    if len(vals) != arity:
+        raise ConfigError(f"oracle {which} takes {arity} integer arguments")
+    steps, depth = cost(*vals)
+    if steps > ORACLE_MAX_STEPS or depth > ORACLE_MAX_DEPTH:
+        raise ConfigError(
+            f"oracle {which} is too large at {' '.join(map(str, vals))}: queries are "
+            f"limited to {ORACLE_MAX_STEPS} steps and recursion depth {ORACLE_MAX_DEPTH}")
+    if which == "md_ubinomial":
+        if args.s is None or args.t is None:
+            raise ConfigError("md_ubinomial needs --s and --t")
+        vals = [*vals, _scalar_from_text(args.s), _scalar_from_text(args.t)]
     try:
-        if which == "box":
-            result = oracles.partitions_in_box_gf(*vals)
-        elif which == "zigzag":
-            result = oracles.zigzag_area_gf(*vals)
-        elif which == "inversion":
-            result = oracles.inversion_gf(*vals)
-        elif which == "gauss":
-            result = oracles.gaussian_binomial(*vals).to_json()
-        elif which == "subspaces":
-            result = oracles.subspace_count(*vals)
-        elif which == "tilings":
-            result = oracles.colored_tilings(*vals)
-        elif which == "bracelets":
-            result = oracles.colored_bracelets(*vals)
-        elif which == "md_fibonomial":
-            result = oracles.md_fibonomial(*vals)
-        elif which == "errata_fibonomial":
-            result = oracles.errata_fibonomial(*vals)
-        else:
-            if args.s is None or args.t is None:
-                raise ConfigError("md_ubinomial needs --s and --t")
-            s = _scalar_from_text(args.s)
-            t = _scalar_from_text(args.t)
-            result = oracles.md_ubinomial(vals[0], vals[1], s, t).to_json()
+        result = getattr(oracles, fn_name)(*vals)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if isinstance(result, Scalar):
+        result = result.to_json()
     if args.format == "json":
         sys.stdout.write(json.dumps(result, sort_keys=True) + "\n")
     else:
@@ -472,13 +465,10 @@ def _suite_families(report: Report, config: SuiteConfig) -> None:
                            str(bad[0].rhs) if bad else "", note)
                 continue
             try:
-                family, target = resolve_family(tag, spec)
-            except (ConfigError, DegenerateRootsError) as exc:
-                report.skip(check, (config.max_n,), str(exc))
-                continue
-            try:
-                pascal = verify_pascal(target, family, config.max_n)
-            except (ZeroTermError, SingularCoefficientError) as exc:
+                family = resolve_family(tag, spec)
+                pascal = verify_pascal(family.seq, family, config.max_n)
+            except (FamilyRequirementError, DegenerateRootsError, ZeroTermError,
+                    SingularCoefficientError) as exc:
                 report.skip(check, (config.max_n,), str(exc))
                 continue
             bad = pascal.failures
@@ -494,19 +484,13 @@ def _suite_addition(report: Report, config: SuiteConfig) -> None:
     bound = min(config.max_n, 8)
     for name, spec in config.specs:
         d = spec.discriminant()
-        u_ok = corrected_ok = True
-        literal_ok = True
-        witness = None
-        for r in range(1, bound + 1):
-            for s in range(1, bound + 1):
-                check = addition_check(spec, r, s)
-                u_ok = u_ok and check.u_ok
-                corrected_ok = corrected_ok and check.v_corrected_ok
-                if not check.v_literal_ok and witness is None:
-                    witness = check
-                literal_ok = literal_ok and check.v_literal_ok
-        report.add(f"addition:double_u:{name}", (bound,), u_ok)
-        report.add(f"addition:double_v:{name}", (bound,), corrected_ok)
+        checks = [addition_check(spec, r, s)
+                  for r in range(1, bound + 1) for s in range(1, bound + 1)]
+        witness = next((c for c in checks if not c.v_literal_ok), None)
+        literal_ok = witness is None
+        report.add(f"addition:double_u:{name}", (bound,), all(c.u_ok for c in checks))
+        report.add(f"addition:double_v:{name}", (bound,),
+                   all(c.v_corrected_ok for c in checks))
         lhs = str(witness.v_literal_lhs) if witness else ""
         rhs = str(witness.v_literal_rhs) if witness else ""
         if config.literal_v_addition_strict:
@@ -522,98 +506,122 @@ def _suite_addition(report: Report, config: SuiteConfig) -> None:
                        "expected to hold only when the discriminant is 1")
 
 
-def _suite_oracles(report: Report, config: SuiteConfig) -> None:
-    groups = config.oracles
-    if "fourway" in groups:
+def _suite_fourway(report: Report, config: SuiteConfig) -> None:
+    ok = True
+    witness = ("", "")
+    for n in range(min(config.max_n, 8) + 1):
+        for k in range(n + 1):
+            gauss = [int(c) for c in oracles.gaussian_binomial(n, k).num_coeffs]
+            gauss += [0] * (k * (n - k) + 1 - len(gauss))
+            box = oracles.partitions_in_box_gf(k, n - k)
+            zig = oracles.zigzag_area_gf(n, k)
+            inv = oracles.inversion_gf(n, k)
+            if not (gauss == box == zig == inv):
+                ok = False
+                witness = (f"({n},{k})", f"{gauss}/{box}/{zig}/{inv}")
+    report.add("oracle:fourway", (min(config.max_n, 8),), ok, *witness)
+
+
+def _suite_subspaces(report: Report, config: SuiteConfig) -> None:
+    for q in (2, 3):
         ok = True
-        witness = ("", "")
-        for n in range(min(config.max_n, 8) + 1):
+        for n in range(5):
             for k in range(n + 1):
-                gauss = [int(c) for c in oracles.gaussian_binomial(n, k).num_coeffs]
-                gauss += [0] * (k * (n - k) + 1 - len(gauss))
-                box = oracles.partitions_in_box_gf(k, n - k)
-                zig = oracles.zigzag_area_gf(n, k)
-                inv = oracles.inversion_gf(n, k)
-                if not (gauss == box == zig == inv):
-                    ok = False
-                    witness = (f"({n},{k})", f"{gauss}/{box}/{zig}/{inv}")
-        report.add("oracle:fourway", (min(config.max_n, 8),), ok, *witness)
-    if "subspaces" in groups:
-        for q in (2, 3):
-            ok = True
-            for n in range(5):
-                for k in range(n + 1):
-                    count = oracles.subspace_count(n, k, q)
-                    gauss = oracles.gaussian_binomial(n, k).evaluate(q).as_int()
-                    ok = ok and count == gauss
-            report.add(f"oracle:subspaces:q{q}", (4,), ok)
-    if "tilings" in groups:
-        bound = min(config.max_n, 10)
-        for s in (1, 2, 3):
-            for t in (1, 2, 3):
-                u_spec = preset("u", s=s, t=t)
-                v_spec = preset("v", s=s, t=t)
-                lin_ok = all(oracles.colored_tilings(n, s, t) == term(u_spec, n + 1).as_int()
-                             for n in range(bound + 1))
-                circ_ok = all(oracles.colored_bracelets(n, s, t) == term(v_spec, n).as_int()
-                              for n in range(1, bound + 1))
-                report.add(f"oracle:tilings:s{s}t{t}", (bound,), lin_ok)
-                report.add(f"oracle:bracelets:s{s}t{t}", (bound,), circ_ok)
-    if "md_formulas" in groups:
-        fib = preset("fibonacci")
-        bound = min(config.max_n, 10)
-        ok = all(oracles.md_fibonomial(n, k) == fbinomial(fib, n, k).as_int()
-                 for n in range(bound + 1) for k in range(n + 1))
-        report.add("oracle:md_fibonomial", (bound,), ok)
-        for s, t in ((1, 1), (3, -2), (2, 1)):
+                count = oracles.subspace_count(n, k, q)
+                gauss = oracles.gaussian_binomial(n, k).evaluate(q).as_int()
+                ok = ok and count == gauss
+        report.add(f"oracle:subspaces:q{q}", (4,), ok)
+
+
+def _suite_tilings(report: Report, config: SuiteConfig) -> None:
+    bound = min(config.max_n, 10)
+    for s in (1, 2, 3):
+        for t in (1, 2, 3):
             u_spec = preset("u", s=s, t=t)
-            ok = all(oracles.md_ubinomial(n, k, s, t) == fbinomial(u_spec, n, k)
-                     for n in range(9) for k in range(n + 1))
-            report.add(f"oracle:md_ubinomial:s{s}t{t}", (8,), ok)
-        reproduced = oracles.errata_fibonomial(5, 3) == 11
-        deviates = any(oracles.errata_fibonomial(n, k) != fbinomial(fib, n, k).as_int()
-                       for n in range(2, 9) for k in range(2, n + 1))
-        report.add("oracle:errata_control", (5, 3), reproduced and deviates,
-                   str(oracles.errata_fibonomial(5, 3)),
-                   str(fbinomial(fib, 5, 3)),
-                   "control: misprinted variant reproduces the published 11 "
-                   "and disagrees with the true table")
-    if "qstar" in groups:
-        for p, q in ((2, 1), (1, 2), (3, 2), (1, 1)):
-            ok = all(qstar_transfer(p, q, n, k).ok
-                     for n in range(7) for k in range(n + 1))
-            report.add(f"oracle:qstar:p{p}q{q}", (6,), ok)
-    if "integrality" in groups:
-        for s, t in ((1, 1), (2, 1), (1, 2), (3, -2)):
-            u_spec = preset("u", s=s, t=t)
-            violations = integrality_scan(u_spec, min(config.max_n * 2, 20))
-            report.add(f"integrality:u:s{s}t{t}", (min(config.max_n * 2, 20),),
-                       not violations,
-                       str(violations[0][2]) if violations else "", "")
-        lucas_v = preset("v", s=1, t=1)
-        violations = integrality_scan(lucas_v, 4)
-        expected = [(4, 2, Scalar(Fraction(28, 3)))]
-        report.add("integrality:lucas_v_control", (4,), violations == expected,
-                   str(violations), str(expected),
-                   "control: companion-sequence table is not integral")
-    if "series" in groups:
-        for name, spec in config.specs:
-            if not all(getattr(spec, f).is_rational for f in ("a", "b", "s", "t")):
-                report.skip(f"series:{name}", (config.max_n,),
-                            "series checks need rational spec entries")
-                continue
-            sr = series_verify(spec, min(config.max_n * 2, 20))
-            note = "" if sr.egf_checked else "exponential form skipped: irrational roots"
-            report.add(f"series:{name}", (sr.order,),
-                       sr.ogf_ok and (sr.egf_ok or not sr.egf_checked), note=note)
+            v_spec = preset("v", s=s, t=t)
+            lin_ok = all(oracles.colored_tilings(n, s, t) == term(u_spec, n + 1).as_int()
+                         for n in range(bound + 1))
+            circ_ok = all(oracles.colored_bracelets(n, s, t) == term(v_spec, n).as_int()
+                          for n in range(1, bound + 1))
+            report.add(f"oracle:tilings:s{s}t{t}", (bound,), lin_ok)
+            report.add(f"oracle:bracelets:s{s}t{t}", (bound,), circ_ok)
+
+
+def _suite_md_formulas(report: Report, config: SuiteConfig) -> None:
+    fib = preset("fibonacci")
+    bound = min(config.max_n, 10)
+    ok = all(oracles.md_fibonomial(n, k) == fbinomial(fib, n, k).as_int()
+             for n in range(bound + 1) for k in range(n + 1))
+    report.add("oracle:md_fibonomial", (bound,), ok)
+    for s, t in ((1, 1), (3, -2), (2, 1)):
+        u_spec = preset("u", s=s, t=t)
+        ok = all(oracles.md_ubinomial(n, k, s, t) == fbinomial(u_spec, n, k)
+                 for n in range(9) for k in range(n + 1))
+        report.add(f"oracle:md_ubinomial:s{s}t{t}", (8,), ok)
+    reproduced = oracles.errata_fibonomial(5, 3) == 11
+    deviates = any(oracles.errata_fibonomial(n, k) != fbinomial(fib, n, k).as_int()
+                   for n in range(2, 9) for k in range(2, n + 1))
+    report.add("oracle:errata_control", (5, 3), reproduced and deviates,
+               str(oracles.errata_fibonomial(5, 3)),
+               str(fbinomial(fib, 5, 3)),
+               "control: misprinted variant reproduces the published 11 "
+               "and disagrees with the true table")
+
+
+def _suite_qstar(report: Report, config: SuiteConfig) -> None:
+    for p, q in ((2, 1), (1, 2), (3, 2), (1, 1)):
+        ok = all(qstar_transfer(p, q, n, k).ok
+                 for n in range(7) for k in range(n + 1))
+        report.add(f"oracle:qstar:p{p}q{q}", (6,), ok)
+
+
+def _suite_integrality(report: Report, config: SuiteConfig) -> None:
+    for s, t in ((1, 1), (2, 1), (1, 2), (3, -2)):
+        u_spec = preset("u", s=s, t=t)
+        violations = integrality_scan(u_spec, min(config.max_n * 2, 20))
+        report.add(f"integrality:u:s{s}t{t}", (min(config.max_n * 2, 20),),
+                   not violations,
+                   str(violations[0][2]) if violations else "", "")
+    lucas_v = preset("v", s=1, t=1)
+    violations = integrality_scan(lucas_v, 4)
+    expected = [(4, 2, Scalar(Fraction(28, 3)))]
+    report.add("integrality:lucas_v_control", (4,), violations == expected,
+               str(violations), str(expected),
+               "control: companion-sequence table is not integral")
+
+
+def _suite_series(report: Report, config: SuiteConfig) -> None:
+    for name, spec in config.specs:
+        if not all(getattr(spec, f).is_rational for f in ("a", "b", "s", "t")):
+            report.skip(f"series:{name}", (config.max_n,),
+                        "series checks need rational spec entries")
+            continue
+        sr = series_verify(spec, min(config.max_n * 2, 20))
+        note = "" if sr.egf_checked else "exponential form skipped: irrational roots"
+        report.add(f"series:{name}", (sr.order,),
+                   sr.ogf_ok and (sr.egf_ok or not sr.egf_checked), note=note)
+
+
+# Suite group -> the function adding its records, in record order; the
+# records of the Pascal families come first.
+SUITE_ORACLE_GROUPS = {
+    "addition": _suite_addition,
+    "fourway": _suite_fourway,
+    "subspaces": _suite_subspaces,
+    "tilings": _suite_tilings,
+    "md_formulas": _suite_md_formulas,
+    "qstar": _suite_qstar,
+    "integrality": _suite_integrality,
+    "series": _suite_series,
+}
 
 
 def run_suite(config: SuiteConfig) -> Report:
     report = Report()
     _suite_families(report, config)
-    if "addition" in config.oracles:
-        _suite_addition(report, config)
-    _suite_oracles(report, config)
+    for group, add_records in SUITE_ORACLE_GROUPS.items():
+        if group in config.oracles:
+            add_records(report, config)
     if config.cache:
         for name, spec in config.specs:
             try:
@@ -697,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="query an independent oracle")
-    p_oracle.add_argument("--which", choices=ORACLE_NAMES, required=True)
+    p_oracle.add_argument("--which", choices=ORACLES, required=True)
     p_oracle.add_argument("--args", type=int, nargs="*", default=[])
     p_oracle.add_argument("--s", help="rational s for md_ubinomial")
     p_oracle.add_argument("--t", help="rational t for md_ubinomial")
@@ -720,7 +728,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateRootsError, FamilyRequirementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ZeroTermError, SingularCoefficientError, ScalarIdentityError) as exc:

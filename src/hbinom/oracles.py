@@ -8,7 +8,6 @@ between the two routes is meaningful.  Counts are desk-scale by design.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Union
 
 from .ring import ONE, ZERO, Scalar, ScalarLike
 
@@ -170,6 +169,23 @@ def _fib_list(n: int) -> list[int]:
     return fib
 
 
+def _tuple_product(seq, n: int, k: int, xs: tuple[int, ...], acc):
+    """acc times the product over i of seq[k-i]^(x_i - x_{i-1} - 1) *
+    seq[n - x_i - (k-i) + 1] along the increasing tuple xs, with x_0 = 0 and
+    seq[0]^0 = 1.  Works on int and Scalar terms alike."""
+    prev = 0
+    for i, x in enumerate(xs, start=1):
+        gap = x - prev - 1
+        if gap:
+            base = seq[k - i]
+            if not base:
+                return base
+            acc = acc * base ** gap
+        acc = acc * seq[n - x - (k - i) + 1]
+        prev = x
+    return acc
+
+
 def md_fibonomial(n: int, k: int) -> int:
     """Fibonomial {n choose k} as a sum over increasing index tuples.
 
@@ -180,22 +196,8 @@ def md_fibonomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     fib = _fib_list(n + 1)
-    total = 0
-    for xs in combinations(range(1, n + 1), k):
-        prod_val = 1
-        prev = 0
-        for i, x in enumerate(xs, start=1):
-            gap = x - prev - 1
-            if gap:
-                base = fib[k - i]
-                if base == 0:
-                    prod_val = 0
-                    break
-                prod_val *= base ** gap
-            prod_val *= fib[n - x - (k - i) + 1]
-            prev = x
-        total += prod_val
-    return total
+    return sum(_tuple_product(fib, n, k, xs, 1)
+               for xs in combinations(range(1, n + 1), k))
 
 
 def errata_fibonomial(n: int, k: int) -> int:
@@ -212,21 +214,9 @@ def errata_fibonomial(n: int, k: int) -> int:
     fib = _fib_list(n + 1)
     total = 0
     for xs in combinations(range(1, n), k - 1):
-        prod_val = 1
-        prev = 0
-        for i, x in enumerate(xs, start=1):
-            gap = x - prev - 1
-            if gap:
-                base = fib[k - i]
-                if base == 0:
-                    prod_val = 0
-                    break
-                prod_val *= base ** gap
-            prod_val *= fib[n - x - (k - i) + 1]
-            prev = x
-        else:
-            for x_k in range(xs[-1] + 1, n + 1):
-                total += prod_val * fib[n - x_k]
+        prod_val = _tuple_product(fib, n, k, xs, 1)
+        for x_k in range(xs[-1] + 1, n + 1):
+            total += prod_val * fib[n - x_k]
     return total
 
 
@@ -245,17 +235,6 @@ def md_ubinomial(n: int, k: int, s: ScalarLike, t: ScalarLike) -> Scalar:
 
     total = ZERO
     for xs in combinations(range(1, n + 1), k):
-        prod_val = t ** (xs[-1] - k) if xs else ONE
-        prev = 0
-        for i, x in enumerate(xs, start=1):
-            gap = x - prev - 1
-            if gap:
-                base = useq[k - i]
-                if base.is_zero():
-                    prod_val = ZERO
-                    break
-                prod_val = prod_val * base ** gap
-            prod_val = prod_val * useq[n - x - (k - i) + 1]
-            prev = x
-        total = total + prod_val
+        total = total + _tuple_product(useq, n, k, xs,
+                                       t ** (xs[-1] - k) if xs else ONE)
     return total

@@ -15,7 +15,7 @@ from typing import Callable, Dict, Union
 
 from .binomials import SequenceLike, sequence_fn, table_for
 from .ring import ONE, QuadExt, Scalar, ScalarLike
-from .sequences import BinetSpec, HoradamSpec, preset, term, to_binet
+from .sequences import BinetSpec, HoradamSpec, char_roots, preset, term, to_binet
 
 CoeffValue = Union[Scalar, QuadExt]
 
@@ -28,6 +28,10 @@ class ScalarIdentityError(ArithmeticError):
     """A coefficient pair breaks F(r+s) = h1*F(r) + h2*F(s)."""
 
 
+class FamilyRequirementError(ValueError):
+    """A family cannot be built for the given sequence."""
+
+
 @dataclass(frozen=True)
 class CoeffPair:
     """Coefficients (h1, h2) for splitting index r+s into r and s."""
@@ -38,25 +42,20 @@ class CoeffPair:
     h2: CoeffValue
 
 
-_binets: Dict[HoradamSpec, BinetSpec] = {}
-
-
-def _binet_for(spec: HoradamSpec) -> BinetSpec:
-    cached = _binets.get(spec)
-    if cached is None:
-        cached = _binets[spec] = to_binet(spec)
-    return cached
+def _split_sides(pair: CoeffPair, left: Scalar, right: Scalar, whole: Scalar):
+    """h1*left + h2*right and whole, both lifted into the pair's quadratic
+    extension when the coefficients live there.  With F(r), F(s), F(r+s)
+    these are the two sides of the scalar identity; with the cells, of the
+    table identity."""
+    if isinstance(pair.h1, QuadExt):
+        d = pair.h1.disc
+        return (pair.h1 * QuadExt.embed(left, d) + pair.h2 * QuadExt.embed(right, d),
+                QuadExt.embed(whole, d))
+    return pair.h1 * left + pair.h2 * right, whole
 
 
 def _assert_scalar_identity(fn: Callable[[int], Scalar], pair: CoeffPair) -> None:
-    f_r, f_s, f_rs = fn(pair.r), fn(pair.s), fn(pair.r + pair.s)
-    if isinstance(pair.h1, QuadExt):
-        d = pair.h1.disc
-        lhs = pair.h1 * QuadExt.embed(f_r, d) + pair.h2 * QuadExt.embed(f_s, d)
-        rhs = QuadExt.embed(f_rs, d)
-    else:
-        lhs = pair.h1 * f_r + pair.h2 * f_s
-        rhs = f_rs
+    lhs, rhs = _split_sides(pair, fn(pair.r), fn(pair.s), fn(pair.r + pair.s))
     if lhs != rhs:
         raise ScalarIdentityError(
             f"scalar identity broken at ({pair.r},{pair.s}): "
@@ -109,57 +108,86 @@ def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
 
 @dataclass(frozen=True)
 class CoeffFamily:
-    """A named rule (r, s) -> (h1, h2), bundled with the sequence whose
-    scalar identity the rule satisfies."""
+    """A named rule (r, s) -> (h1, h2), bundled with the sequence `seq`
+    whose scalar identity the rule satisfies.  The closed-form families carry
+    the Binet data of `seq`, so a repeated root shows when they are built."""
 
     tag: str
-    spec: HoradamSpec | None = None
+    seq: SequenceLike
     roots: tuple[Scalar, Scalar] | None = None
-    seq: SequenceLike | None = None
+    closed_form: BinetSpec | None = None
 
     @classmethod
     def binet(cls, spec: HoradamSpec) -> "CoeffFamily":
-        return cls("binet", spec=spec)
+        return cls("binet", spec, closed_form=to_binet(spec))
 
     @classmethod
     def alternating(cls, spec: HoradamSpec) -> "CoeffFamily":
-        return cls("alternating", spec=spec)
+        return cls("alternating", spec, closed_form=to_binet(spec))
 
     @classmethod
     def corcino_a(cls, p: ScalarLike, q: ScalarLike) -> "CoeffFamily":
-        return cls("corcino_a", roots=(Scalar.coerce(p), Scalar.coerce(q)))
+        return cls._corcino("corcino_a", Scalar.coerce(p), Scalar.coerce(q))
 
     @classmethod
     def corcino_b(cls, p: ScalarLike, q: ScalarLike) -> "CoeffFamily":
-        return cls("corcino_b", roots=(Scalar.coerce(p), Scalar.coerce(q)))
+        return cls._corcino("corcino_b", Scalar.coerce(p), Scalar.coerce(q))
+
+    @classmethod
+    def _corcino(cls, tag: str, p: Scalar, q: Scalar) -> "CoeffFamily":
+        # p and q are the roots of z^2 = (p+q)*z - p*q
+        return cls(tag, preset("u", s=p + q, t=-(p * q)), (p, q))
 
     @classmethod
     def gould(cls, seq: SequenceLike) -> "CoeffFamily":
-        return cls("gould", seq=seq)
+        return cls("gould", seq)
 
     @classmethod
     def gould_symmetric(cls, seq: SequenceLike) -> "CoeffFamily":
-        return cls("gould_symmetric", seq=seq)
+        return cls("gould_symmetric", seq)
 
     @classmethod
     def hu_sun(cls, s: ScalarLike, t: ScalarLike) -> "CoeffFamily":
-        return cls("hu_sun", spec=preset("u", s=s, t=t))
-
-
-FAMILY_TAGS = ("binet", "alternating", "corcino_a", "corcino_b",
-               "gould", "gould_symmetric", "hu_sun")
+        return cls("hu_sun", preset("u", s=s, t=t))
 
 
 def family_sequence(family: CoeffFamily) -> SequenceLike:
     """The sequence whose scalar identity the family satisfies by construction."""
-    if family.tag in ("binet", "alternating", "hu_sun"):
-        return family.spec
-    if family.tag in ("corcino_a", "corcino_b"):
-        p, q = family.roots
-        return preset("u", s=p + q, t=-(p * q))
-    if family.tag in ("gould", "gould_symmetric"):
-        return family.seq
-    raise ValueError(f"unknown family tag {family.tag!r}")
+    return family.seq
+
+
+def _rational_roots(tag: str, spec: HoradamSpec) -> tuple[Scalar, Scalar]:
+    p, q = char_roots(spec)
+    if not (p.beta.is_zero() and q.beta.is_zero()):
+        raise FamilyRequirementError(
+            f"family {tag} needs rational characteristic roots; "
+            f"discriminant {spec.discriminant()} is not a perfect square")
+    return p.project(), q.project()
+
+
+# Tag -> the family for a spec.  Root-based and fundamental-sequence families
+# certify the (0, 1, s, t) table for the spec's weights; the others the spec.
+_FAMILIES: Dict[str, Callable[[HoradamSpec], CoeffFamily]] = {
+    "binet": CoeffFamily.binet,
+    "alternating": CoeffFamily.alternating,
+    "corcino_a": lambda spec: CoeffFamily.corcino_a(*_rational_roots("corcino_a", spec)),
+    "corcino_b": lambda spec: CoeffFamily.corcino_b(*_rational_roots("corcino_b", spec)),
+    "gould": CoeffFamily.gould,
+    "gould_symmetric": CoeffFamily.gould_symmetric,
+    "hu_sun": lambda spec: CoeffFamily.hu_sun(spec.s, spec.t),
+}
+
+FAMILY_TAGS = tuple(_FAMILIES)
+
+
+def resolve_family(tag: str, spec: HoradamSpec) -> CoeffFamily:
+    """The family named `tag` for `spec`; `family.seq` is the table it
+    certifies.  Raises FamilyRequirementError when a root-based family meets
+    irrational roots, and DegenerateRootsError when a closed-form or root-based
+    family meets a repeated root."""
+    if tag not in _FAMILIES:
+        raise ValueError(f"unknown family tag {tag!r}")
+    return _FAMILIES[tag](spec)
 
 
 def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
@@ -169,9 +197,9 @@ def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
         raise ValueError("split indices must be positive")
     tag = family.tag
     if tag == "binet":
-        pair = coeffs_binet(_binet_for(family.spec), r, s)
+        pair = coeffs_binet(family.closed_form, r, s)
     elif tag == "alternating":
-        pair = coeffs_alternating(_binet_for(family.spec), r, s)
+        pair = coeffs_alternating(family.closed_form, r, s)
     elif tag in ("corcino_a", "corcino_b"):
         p, q = family.roots
         if tag == "corcino_a":
@@ -190,11 +218,11 @@ def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
                 raise SingularCoefficientError(f"sequence term at index {r} is zero")
             pair = CoeffPair(r, s, (a_rs - a_s) / a_r, ONE)
     elif tag == "hu_sun":
-        u = family.spec
+        u = family.seq
         pair = CoeffPair(r, s, term(u, s + 1), u.t * term(u, r - 1))
     else:
         raise ValueError(f"unknown family tag {tag!r}")
-    _assert_scalar_identity(sequence_fn(family_sequence(family)), pair)
+    _assert_scalar_identity(sequence_fn(family.seq), pair)
     return pair
 
 
@@ -231,22 +259,17 @@ class PascalReport:
         return [c for c in self.cells if not c.ok]
 
 
-def _check_cell(fn: Callable[[int], Scalar], tbl, pair: CoeffPair) -> CellCheck:
+def _check_cell(fn: Callable[[int], Scalar] | None, tbl, pair: CoeffPair) -> CellCheck:
+    """Table identity at the pair's cell, and the scalar identity over `fn`
+    unless `fn` is None because it is already known to hold."""
     r, s = pair.r, pair.s
-    f_r, f_s, f_rs = fn(r), fn(s), fn(r + s)
-    cell = tbl.binomial(r + s, r)
-    left = tbl.binomial(r + s - 1, r - 1)
-    right = tbl.binomial(r + s - 1, r)
-    if isinstance(pair.h1, QuadExt):
-        d = pair.h1.disc
-        scalar_ok = (pair.h1 * QuadExt.embed(f_r, d) + pair.h2 * QuadExt.embed(f_s, d)
-                     == QuadExt.embed(f_rs, d))
-        combined = pair.h1 * QuadExt.embed(left, d) + pair.h2 * QuadExt.embed(right, d)
-        table_ok = combined.project() == cell
-    else:
-        scalar_ok = pair.h1 * f_r + pair.h2 * f_s == f_rs
-        table_ok = pair.h1 * left + pair.h2 * right == cell
-    return CellCheck(r, s, scalar_ok, table_ok)
+    scalar_ok = True
+    if fn is not None:
+        lhs, rhs = _split_sides(pair, fn(r), fn(s), fn(r + s))
+        scalar_ok = lhs == rhs
+    lhs, rhs = _split_sides(pair, tbl.binomial(r + s - 1, r - 1),
+                            tbl.binomial(r + s - 1, r), tbl.binomial(r + s, r))
+    return CellCheck(r, s, scalar_ok, lhs == rhs)
 
 
 def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport:
@@ -254,13 +277,15 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
     r + s <= max_n.  `rule` is a named family or a bare (r, s) -> pair map."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    fn = sequence_fn(seq)
     if isinstance(rule, CoeffFamily):
         tag = rule.tag
         pairs = lambda r, s: family_coeffs(rule, r, s)
+        if seq == rule.seq:
+            fn = None  # family_coeffs raises on any break of the scalar identity
     else:
         tag = getattr(rule, "__name__", "custom")
         pairs = rule
-    fn = sequence_fn(seq)
     tbl = table_for(seq)
     report = PascalReport(tag, max_n)
     for total in range(2, max_n + 1):

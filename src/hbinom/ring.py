@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 
 class ExtensionMismatchError(ValueError):
@@ -452,17 +452,7 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, ONE)
 
     def evaluate(self, point: ScalarLike) -> "Scalar":
         """Substitute `point` for the indeterminate."""
@@ -537,6 +527,20 @@ class Scalar:
             return cls.from_ratio([Fraction(c) for c in obj["num"]],
                                   [Fraction(c) for c in obj["den"]])
         raise TypeError(f"cannot parse scalar from {obj!r}")
+
+
+def _power(base, exponent: int, one):
+    """base**exponent by square-and-multiply, for Scalar and QuadExt alike; a
+    negative exponent inverts the base first."""
+    if exponent < 0:
+        base, exponent = base.inverse(), -exponent
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
 
 
 def _rational_value(v: Scalar) -> Optional[Fraction]:
@@ -654,17 +658,7 @@ class QuadExt:
     def __pow__(self, exponent: int) -> "QuadExt":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = QuadExt.embed(ONE, self.disc)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, exponent, QuadExt.embed(ONE, self.disc))
 
     def conj(self) -> "QuadExt":
         return QuadExt(self.alpha, -self.beta, self.disc)
