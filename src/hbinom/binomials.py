@@ -4,6 +4,12 @@ For a sequence F the factorial is n!_F = F(n)*F(n-1)*...*F(1) with 0!_F = 1;
 F(0) never enters a product.  Binomials and multinomials are factorial ratios
 computed in the fraction field, so nothing here assumes integrality; whether
 the ratios are integral is a separate scan.
+
+Whole rows come from a second route: the splitting pair (F(n)/F(k), 0) gives
+C(n,k) = C(n-1,k-1) * F(n) / F(k), one product and one division by a single
+term per cell, with no factorial bigints.  The factorial ratio stays the
+reference route: single cells and the Pascal-family checks read it, never the
+rows.
 """
 
 from __future__ import annotations
@@ -36,25 +42,50 @@ def sequence_fn(seq: SequenceLike) -> Callable[[int], Scalar]:
 
 
 class BinomialTable:
-    """Memoized factorials and binomial/multinomial cells for one sequence."""
+    """Memoized factorials, binomial/multinomial cells and rows for one sequence."""
 
     def __init__(self, source: SequenceLike):
         self.source = source
         self._fn = sequence_fn(source)
+        self._terms: list[Scalar] = [ONE]   # F(1), F(2), ... from index 1
         self._fact = [ONE]
         self._cells: Dict[tuple[int, int], Scalar] = {}
+        self._rows: list[tuple[Scalar, ...]] = [(ONE,)]
+
+    def _term(self, i: int) -> Scalar:
+        """F(i) for i >= 1; the first zero among F(1..i) raises ZeroTermError."""
+        terms = self._terms
+        while len(terms) <= i:
+            j = len(terms)
+            f_j = self._fn(j)
+            if f_j.is_zero():
+                raise ZeroTermError(j)
+            terms.append(f_j)
+        return terms[i]
 
     def factorial(self, n: int) -> Scalar:
         if n < 0:
             raise ValueError("factorial index must be nonnegative")
         fact = self._fact
         while len(fact) <= n:
-            i = len(fact)
-            f_i = self._fn(i)
-            if f_i.is_zero():
-                raise ZeroTermError(i)
-            fact.append(fact[-1] * f_i)
+            fact.append(fact[-1] * self._term(len(fact)))
         return fact[n]
+
+    def row(self, n: int) -> tuple[Scalar, ...]:
+        """Cells C(n,0..n), each row built from the one above by
+        C(n,k) = C(n-1,k-1) * F(n) / F(k); C(n,k) = C(n,n-k), so each mirrored
+        pair is computed once.  Needs F(1..n) nonzero, like factorial(n)."""
+        if n < 0:
+            raise ValueError("row index must be nonnegative")
+        rows = self._rows
+        while len(rows) <= n:
+            m = len(rows)
+            prev = rows[-1]
+            f_m = self._term(m)
+            terms = self._terms
+            rows.append(mirror([ONE] + [prev[k - 1] * f_m / terms[k]
+                                        for k in range(1, m // 2 + 1)], m))
+        return rows[n]
 
     def binomial(self, n: int, k: int) -> Scalar:
         if k < 0 or k > n:
@@ -75,6 +106,11 @@ class BinomialTable:
         for p in parts:
             denom = denom * self.factorial(p)
         return self.factorial(n) / denom
+
+
+def mirror(half: list, n: int) -> tuple:
+    """Row n from its entries k = 0..n//2, by the symmetry C(n,k) = C(n,n-k)."""
+    return tuple(half + half[:(n + 1) // 2][::-1])
 
 
 _tables: Dict[HoradamSpec, BinomialTable] = {}
@@ -140,13 +176,8 @@ def integrality_scan(seq: SequenceLike, max_n: int) -> list[tuple[int, int, Scal
     rational case).
     """
     tbl = table_for(seq)
-    violations = []
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            value = tbl.binomial(n, k)
-            if not value.is_integral:
-                violations.append((n, k, value))
-    return violations
+    return [(n, k, value) for n in range(max_n + 1)
+            for k, value in enumerate(tbl.row(n)) if not value.is_integral]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ configuration errors, including a sequence a family cannot be built for.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracles
-from .binomials import (ZeroTermError, fbinomial, integrality_scan,
+from .binomials import (ZeroTermError, fbinomial, integrality_scan, mirror,
                         qstar_transfer, table_for)
 from .recurrences import (FAMILY_TAGS, FamilyRequirementError,
                           ScalarIdentityError, SingularCoefficientError,
@@ -147,44 +149,52 @@ def load_cache(path: str) -> dict[tuple[str, int, int], object]:
 
 
 def append_cache(path: str, records: list[dict]) -> None:
-    """Append one JSON line per record.  An unterminated last line, which
-    `load_cache` skips, is cut off first so the batch starts on a fresh line."""
+    """Append one JSON line per record, the whole batch in one write under an
+    exclusive `flock`, so concurrent appends never interleave.  An unterminated
+    last line, which `load_cache` skips, is cut off first so the batch starts
+    on a fresh line."""
     if not records:
         return
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    payload = "".join(encode(rec) + "\n" for rec in records).encode()
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
         if fh.seek(0, os.SEEK_END):
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 fh.seek(0)
                 fh.truncate(fh.read().rfind(b"\n") + 1)
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
-                     + b"\n")
+        fh.write(payload)
 
 
 def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
                   max_n: int, cache_path: str | None) -> list[dict]:
     """Triangle cells in lexicographic (n, k) order, consulting and updating
-    the JSONL cache when a path is given.  Cached values are reused verbatim."""
+    the JSONL cache when a path is given.  Cached values are reused verbatim.
+    Binomial rows come from `BinomialTable.row`, and each mirrored pair
+    C(n,k) = C(n,n-k) is rendered once."""
     digest = triangle_digest(spec, kind, parts)
     cache = load_cache(cache_path) if cache_path else {}
     tbl = table_for(spec)
     rows = []
     fresh = []
     for n in range(max_n + 1):
+        rendered = None
         for k in range(n + 1):
             key = (digest, n, k)
             value_json = cache.get(key)
             if value_json is None:
                 if kind == "binomial":
-                    value = tbl.binomial(n, k)
+                    if rendered is None:
+                        half = tbl.row(n)[:n // 2 + 1]
+                        rendered = mirror([v.to_json() for v in half], n)
+                    value_json = rendered[k]
                 else:
                     rest = n - k - sum(parts)
-                    value = tbl.multinomial((k,) + parts + (rest,))
-                value_json = value.to_json()
+                    value_json = tbl.multinomial((k,) + parts + (rest,)).to_json()
                 fresh.append({"spec_hash": digest, "n": n, "k": k,
                               "value": value_json})
             rows.append({"n": n, "k": k, "value": value_json})
@@ -308,7 +318,7 @@ ORACLES = {
     "box": ("partitions_in_box_gf", 2,
             lambda h, w: (_choose(h + w, h), h if w > 0 else 0)),
     "zigzag": ("zigzag_area_gf", 2, lambda n, k: (_choose(n, k) * k, 0)),
-    "inversion": ("inversion_gf", 2, lambda n, k: (_choose(n, k) * n * n // 2, 0)),
+    "inversion": ("inversion_gf", 2, lambda n, k: (_choose(n, k) * n, 0)),
     "gauss": ("gaussian_binomial", 2,
               lambda n, k: (n ** 4 // 8 if 0 <= k <= n else 0, 0)),
     # the oracle itself refuses n > 4 and q > 3
@@ -597,7 +607,10 @@ def _suite_series(report: Report, config: SuiteConfig) -> None:
                         "series checks need rational spec entries")
             continue
         sr = series_verify(spec, min(config.max_n * 2, 20))
-        note = "" if sr.egf_checked else "exponential form skipped: irrational roots"
+        note = ""
+        if not sr.egf_checked:
+            why = "repeated root" if spec.discriminant().is_zero() else "irrational roots"
+            note = f"exponential form skipped: {why}"
         report.add(f"series:{name}", (sr.order,),
                    sr.ogf_ok and (sr.egf_ok or not sr.egf_checked), note=note)
 
@@ -723,11 +736,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift CPython's cap on int <-> str conversion (4300 digits by default,
+    from 3.10.7 on): exact cells of large triangles run past it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _unlimited_int_str():
+            return args.func(args)
     except (ConfigError, DegenerateRootsError, FamilyRequirementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,7 @@ def zigzag_area_gf(n: int, k: int) -> list[int]:
 
 def inversion_gf(n: int, k: int) -> list[int]:
     """Coefficient list of sum q^inv over 0/1 words with k ones; inv counts
-    pairs (1 before 0)."""
+    pairs (1 before 0), one pass per word: each 0 adds the ones seen so far."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     counts = [0] * (k * (n - k) + 1)
@@ -56,8 +56,12 @@ def inversion_gf(n: int, k: int) -> list[int]:
         word = [0] * n
         for pos in one_positions:
             word[pos] = 1
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if word[i] > word[j])
+        inv = ones = 0
+        for bit in word:
+            if bit:
+                ones += 1
+            else:
+                inv += ones
         counts[inv] += 1
     return counts
 

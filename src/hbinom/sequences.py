@@ -178,8 +178,8 @@ class SeriesReport:
 
 
 def series_verify(spec: HoradamSpec, order: int) -> SeriesReport:
-    """Expand the OGF (and EGF when the roots are rational) to `order` terms
-    and compare coefficientwise with the recurrence."""
+    """Expand the OGF (and EGF when the roots are rational and distinct) to
+    `order` terms and compare coefficientwise with the recurrence."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     g = ogf(spec)
@@ -200,7 +200,8 @@ def series_verify(spec: HoradamSpec, order: int) -> SeriesReport:
         if c != term(spec, n).as_fraction():
             ogf_ok = False
 
-    egf_checked = spec.discriminant().sqrt_if_square() is not None
+    disc = spec.discriminant()
+    egf_checked = not disc.is_zero() and disc.sqrt_if_square() is not None
     egf_ok = True
     if egf_checked:
         binet = to_binet(spec)

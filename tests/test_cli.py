@@ -1,6 +1,13 @@
 """Command-line surface: formats, exit codes, caching, suite determinism."""
 
+import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -224,6 +231,65 @@ def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cachedir" / "triangles.jsonl").exists()
 
 
+_APPENDER = """
+import sys, time
+from hbinom.cli import append_cache
+path, tag, start = sys.argv[1], sys.argv[2], float(sys.argv[3])
+time.sleep(max(0.0, start - time.time()))
+for n in range(20):
+    append_cache(path, [{"spec_hash": tag, "n": n, "k": k, "value": "9" * 200}
+                        for k in range(300)])
+"""
+
+
+def test_concurrent_appends_leave_whole_lines(tmp_path):
+    cache = tmp_path / "tri.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = str(time.time() + 1.0)
+    procs = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(cache), tag, start],
+                              env=env) for tag in ("a", "b")]
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0
+    text = cache.read_text()
+    assert text.endswith("\n")
+    records = [json.loads(line) for line in text.splitlines()]
+    # every batch is one run of whole lines, in order
+    batches = [[r["k"] for r in run] for _, run in
+               itertools.groupby(records, key=lambda r: (r["spec_hash"], r["n"]))]
+    assert len(batches) == 40
+    assert all(batch == list(range(300)) for batch in batches)
+
+
+def test_triangle_zero_term_exits_1(capsys):
+    args = ("triangle", "--preset", "u", "--s", "1", "--t", "-1", "--format", "csv")
+    code, out, _ = run_cli(capsys, *args, "--max-n", "2")
+    assert code == 0 and out.strip().splitlines()[-1] == "2,2,1"
+    code, out, err = run_cli(capsys, *args, "--max-n", "5")   # U(3) = 0
+    assert code == 1 and out == ""
+    assert "index 3" in err
+
+
+def test_triangle_past_the_int_str_digit_limit(capsys):
+    spec = {"a": "3/7", "b": "-5/11", "s": "13/3", "t": "-17/5"}
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "triangle", "--spec", json.dumps(spec),
+                           "--max-n", "120")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    terms = [Fraction(spec["a"]), Fraction(spec["b"])]
+    while len(terms) <= 120:
+        terms.append(Fraction(spec["s"]) * terms[-1] + Fraction(spec["t"]) * terms[-2])
+    expected = math.prod(terms[61:121]) / math.prod(terms[1:61])
+    line = next(line for line in out.splitlines() if line.startswith("120  60  "))
+    num, den = line.split()[2].split("/")
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(int(num), int(den)) == expected
+        assert len(num) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # -- verify -----------------------------------------------------------------
 
 
@@ -410,6 +476,19 @@ def test_suite_warms_cache(tmp_path, capsys):
                            "--max-n", "5", "--format", "csv", "--cache", str(cache))
     assert code == 0
     assert "5,3,15" in out
+
+
+def test_suite_series_on_a_repeated_root(tmp_path, capsys):
+    config = {"specs": [{"name": "double", "spec": {"a": "0", "b": "1", "s": "2",
+                                                    "t": "-1"}}],
+              "oracles": ["series"], "format": "json"}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "suite", "--config", str(config_path))
+    assert code == 0
+    record = next(r for r in json.loads(out)["records"] if r["check"] == "series:double")
+    assert record["status"] == "pass"
+    assert record["note"] == "exponential form skipped: repeated root"
 
 
 def test_suite_default_config(capsys):

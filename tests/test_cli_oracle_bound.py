@@ -4,6 +4,7 @@ hours exit 2 before any work; the largest allowed ones still answer."""
 import json
 
 from hbinom.cli import ORACLE_MAX_DEPTH, main
+from hbinom.oracles import zigzag_area_gf
 from hbinom.sequences import preset, term
 
 
@@ -45,6 +46,16 @@ def test_longest_allowed_bracelets_answer(capsys):
     assert int(out) == term(preset("lucas_numbers"), 27).as_int()
     code, _, _ = run_cli(capsys, "oracle", "--which", "bracelets",
                          "--args", "28", "1", "1")
+    assert code == 2
+
+
+def test_inversions_answer_at_the_size_of_the_other_path_oracles(capsys):
+    # one pass per word: C(20,10) words answer, as for zigzag; C(22,11) does not
+    code, out, _ = run_cli(capsys, "oracle", "--which", "inversion",
+                           "--args", "20", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == zigzag_area_gf(20, 10)
+    code, _, _ = run_cli(capsys, "oracle", "--which", "inversion", "--args", "22", "11")
     assert code == 2
 
 
