@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, Union
 
 from . import oracles
 from .ring import ONE, ZERO, Scalar, ScalarLike
-from .sequences import HoradamSpec, preset, term
+from .sequences import HoradamSpec, context
 
 SequenceLike = Union[HoradamSpec, Callable[[int], ScalarLike]]
 
@@ -35,7 +35,7 @@ class ZeroTermError(ArithmeticError):
 def sequence_fn(seq: SequenceLike) -> Callable[[int], Scalar]:
     """Normalize a spec or plain callable into an exact term function."""
     if isinstance(seq, HoradamSpec):
-        return lambda n: term(seq, n)
+        return context(seq).term
     if callable(seq):
         return lambda n: Scalar.coerce(seq(n))
     raise TypeError(f"not a sequence: {seq!r}")
@@ -113,16 +113,14 @@ def mirror(half: list, n: int) -> tuple:
     return tuple(half + half[:(n + 1) // 2][::-1])
 
 
-_tables: Dict[HoradamSpec, BinomialTable] = {}
-
-
 def table_for(seq: SequenceLike) -> BinomialTable:
-    """Table for a sequence; tables for specs are shared and memoized."""
+    """Table for a sequence; the table of a spec is shared, held by the
+    spec's context."""
     if isinstance(seq, HoradamSpec):
-        tbl = _tables.get(seq)
-        if tbl is None:
-            tbl = _tables[seq] = BinomialTable(seq)
-        return tbl
+        ctx = context(seq)
+        if ctx.table is None:
+            ctx.table = BinomialTable(seq)
+        return ctx.table
     return BinomialTable(seq)
 
 

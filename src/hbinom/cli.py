@@ -262,6 +262,12 @@ def cmd_triangle(args) -> int:
     return 0
 
 
+def _witness(cell) -> tuple[str, str]:
+    """Both exact sides of a failing cell; empty strings for a passing one,
+    which the report leaves out."""
+    return ("", "") if cell.ok else (str(cell.lhs), str(cell.rhs))
+
+
 def cmd_verify(args) -> int:
     spec = parse_spec_args(args)
     if args.max_n < 1:
@@ -279,7 +285,7 @@ def cmd_verify(args) -> int:
         family = resolve_family(tag, spec)
         pascal = verify_pascal(family.seq, family, args.max_n)
         for cell in pascal.cells:
-            report.add(f"pascal:{tag}", (cell.r, cell.s), cell.ok)
+            report.add(f"pascal:{tag}", (cell.r, cell.s), cell.ok, *_witness(cell))
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")
     else:
@@ -466,28 +472,24 @@ def _suite_families(report: Report, config: SuiteConfig) -> None:
     for name, spec in config.specs:
         for tag in config.families:
             check = f"pascal:{tag}:{name}"
-            if tag == "vweighted":
-                vw = vweighted_verify(spec, config.max_n)
-                bad = [c for c in vw.cells if not c.ok]
-                note = f"first failure at ({bad[0].r},{bad[0].s})" if bad else ""
-                report.add(check, (config.max_n,), not bad,
-                           str(bad[0].lhs) if bad else "",
-                           str(bad[0].rhs) if bad else "", note)
-                continue
-            try:
-                family = resolve_family(tag, spec)
-                pascal = verify_pascal(family.seq, family, config.max_n)
-            except (FamilyRequirementError, DegenerateRootsError, ZeroTermError,
-                    SingularCoefficientError) as exc:
-                report.skip(check, (config.max_n,), str(exc))
-                continue
-            bad = pascal.failures
             note = ""
-            if pascal.uses_extension:
-                note = "coefficients live in the quadratic extension"
+            if tag == "vweighted":
+                bad = [c for c in vweighted_verify(spec, config.max_n).cells if not c.ok]
+            else:
+                try:
+                    family = resolve_family(tag, spec)
+                    pascal = verify_pascal(family.seq, family, config.max_n)
+                except (FamilyRequirementError, DegenerateRootsError, ZeroTermError,
+                        SingularCoefficientError) as exc:
+                    report.skip(check, (config.max_n,), str(exc))
+                    continue
+                bad = pascal.failures
+                if pascal.uses_extension:
+                    note = "coefficients live in the quadratic extension"
             if bad:
                 note = f"first failure at ({bad[0].r},{bad[0].s})"
-            report.add(check, (config.max_n,), not bad, note=note)
+            report.add(check, (config.max_n,), not bad,
+                       *(_witness(bad[0]) if bad else ("", "")), note)
 
 
 def _suite_addition(report: Report, config: SuiteConfig) -> None:

@@ -11,7 +11,7 @@ h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, NamedTuple, Union
 
 from .binomials import SequenceLike, sequence_fn, table_for
 from .ring import ONE, QuadExt, Scalar, ScalarLike
@@ -70,14 +70,15 @@ def coeffs_binet(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
-    h_r = binet.A * binet.p ** r + binet.B * binet.q ** r
-    h_s = binet.A * binet.p ** s + binet.B * binet.q ** s
+    ap, bq = binet.a_p_pow, binet.b_q_pow
+    h_r = ap[r] + bq[r]
+    h_s = ap[s] + bq[s]
     if h_r.is_zero():
         raise SingularCoefficientError(f"sequence term at index {r} is zero")
     if h_s.is_zero():
         raise SingularCoefficientError(f"sequence term at index {s} is zero")
-    h1 = binet.A * binet.p ** (r + s) / h_r
-    h2 = binet.B * binet.q ** (r + s) / h_s
+    h1 = ap[r + s] / h_r
+    h2 = bq[r + s] / h_s
     return CoeffPair(r, s, h1, h2)
 
 
@@ -94,15 +95,14 @@ def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
         raise ValueError("split indices must be positive")
     if r == s:
         return coeffs_binet(binet, r, s)
-    p, q = binet.p, binet.q
-    p_rs = p ** (r + s)
-    q_rs = q ** (r + s)
-    denom = p ** r * q ** s - q ** r * p ** s
+    p, q = binet.p_pow, binet.q_pow
+    p_rs, q_rs = p[r + s], q[r + s]
+    denom = p[r] * q[s] - q[r] * p[s]
     if denom.is_zero():
         raise SingularCoefficientError(
             f"alternating denominator vanishes at (r, s) = ({r}, {s})")
-    h1 = (p_rs * q ** s - q_rs * p ** s) / denom
-    h2 = (p_rs * q ** r - q_rs * p ** r) / (-denom)
+    h1 = (p_rs * q[s] - q_rs * p[s]) / denom
+    h2 = (p_rs * q[r] - q_rs * p[r]) / (-denom)
     return CoeffPair(r, s, h1.project(), h2.project())
 
 
@@ -165,16 +165,49 @@ def _rational_roots(tag: str, spec: HoradamSpec) -> tuple[Scalar, Scalar]:
     return p.project(), q.project()
 
 
-# Tag -> the family for a spec.  Root-based and fundamental-sequence families
-# certify the (0, 1, s, t) table for the spec's weights; the others the spec.
-_FAMILIES: Dict[str, Callable[[HoradamSpec], CoeffFamily]] = {
-    "binet": CoeffFamily.binet,
-    "alternating": CoeffFamily.alternating,
-    "corcino_a": lambda spec: CoeffFamily.corcino_a(*_rational_roots("corcino_a", spec)),
-    "corcino_b": lambda spec: CoeffFamily.corcino_b(*_rational_roots("corcino_b", spec)),
-    "gould": CoeffFamily.gould,
-    "gould_symmetric": CoeffFamily.gould_symmetric,
-    "hu_sun": lambda spec: CoeffFamily.hu_sun(spec.s, spec.t),
+def _gould(family: CoeffFamily, r: int, s: int) -> CoeffPair:
+    fn = sequence_fn(family.seq)
+    a_r, a_s, a_rs = fn(r), fn(s), fn(r + s)
+    if a_s.is_zero():
+        raise SingularCoefficientError(f"sequence term at index {s} is zero")
+    return CoeffPair(r, s, ONE, (a_rs - a_r) / a_s)
+
+
+def _gould_symmetric(family: CoeffFamily, r: int, s: int) -> CoeffPair:
+    fn = sequence_fn(family.seq)
+    a_r, a_s, a_rs = fn(r), fn(s), fn(r + s)
+    if a_r.is_zero():
+        raise SingularCoefficientError(f"sequence term at index {r} is zero")
+    return CoeffPair(r, s, (a_rs - a_s) / a_r, ONE)
+
+
+class _Family(NamedTuple):
+    """Registry entry: how a spec gives the family, and the family's rule
+    (family, r, s) -> pair."""
+
+    build: Callable[[HoradamSpec], CoeffFamily]
+    rule: Callable[[CoeffFamily, int, int], CoeffPair]
+
+
+# Tag -> the family for a spec and its coefficient rule.  Root-based and
+# fundamental-sequence families certify the (0, 1, s, t) table for the spec's
+# weights; the others the spec.
+_FAMILIES: Dict[str, _Family] = {
+    "binet": _Family(CoeffFamily.binet,
+                     lambda f, r, s: coeffs_binet(f.closed_form, r, s)),
+    "alternating": _Family(CoeffFamily.alternating,
+                           lambda f, r, s: coeffs_alternating(f.closed_form, r, s)),
+    "corcino_a": _Family(
+        lambda spec: CoeffFamily.corcino_a(*_rational_roots("corcino_a", spec)),
+        lambda f, r, s: CoeffPair(r, s, f.roots[0] ** s, f.roots[1] ** r)),
+    "corcino_b": _Family(
+        lambda spec: CoeffFamily.corcino_b(*_rational_roots("corcino_b", spec)),
+        lambda f, r, s: CoeffPair(r, s, f.roots[1] ** s, f.roots[0] ** r)),
+    "gould": _Family(CoeffFamily.gould, _gould),
+    "gould_symmetric": _Family(CoeffFamily.gould_symmetric, _gould_symmetric),
+    "hu_sun": _Family(lambda spec: CoeffFamily.hu_sun(spec.s, spec.t),
+                      lambda f, r, s: CoeffPair(r, s, term(f.seq, s + 1),
+                                                f.seq.t * term(f.seq, r - 1))),
 }
 
 FAMILY_TAGS = tuple(_FAMILIES)
@@ -187,7 +220,7 @@ def resolve_family(tag: str, spec: HoradamSpec) -> CoeffFamily:
     family meets a repeated root."""
     if tag not in _FAMILIES:
         raise ValueError(f"unknown family tag {tag!r}")
-    return _FAMILIES[tag](spec)
+    return _FAMILIES[tag].build(spec)
 
 
 def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
@@ -195,33 +228,9 @@ def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
     for the family's own sequence asserted before returning."""
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
-    tag = family.tag
-    if tag == "binet":
-        pair = coeffs_binet(family.closed_form, r, s)
-    elif tag == "alternating":
-        pair = coeffs_alternating(family.closed_form, r, s)
-    elif tag in ("corcino_a", "corcino_b"):
-        p, q = family.roots
-        if tag == "corcino_a":
-            pair = CoeffPair(r, s, p ** s, q ** r)
-        else:
-            pair = CoeffPair(r, s, q ** s, p ** r)
-    elif tag in ("gould", "gould_symmetric"):
-        fn = sequence_fn(family.seq)
-        a_r, a_s, a_rs = fn(r), fn(s), fn(r + s)
-        if tag == "gould":
-            if a_s.is_zero():
-                raise SingularCoefficientError(f"sequence term at index {s} is zero")
-            pair = CoeffPair(r, s, ONE, (a_rs - a_r) / a_s)
-        else:
-            if a_r.is_zero():
-                raise SingularCoefficientError(f"sequence term at index {r} is zero")
-            pair = CoeffPair(r, s, (a_rs - a_s) / a_r, ONE)
-    elif tag == "hu_sun":
-        u = family.seq
-        pair = CoeffPair(r, s, term(u, s + 1), u.t * term(u, r - 1))
-    else:
-        raise ValueError(f"unknown family tag {tag!r}")
+    if family.tag not in _FAMILIES:
+        raise ValueError(f"unknown family tag {family.tag!r}")
+    pair = _FAMILIES[family.tag].rule(family, r, s)
     _assert_scalar_identity(sequence_fn(family.seq), pair)
     return pair
 
@@ -231,10 +240,16 @@ PairRule = Union[CoeffFamily, Callable[[int, int], CoeffPair]]
 
 @dataclass(frozen=True)
 class CellCheck:
+    """Outcome at one cell.  A failing cell keeps both exact sides of the
+    first identity that broke, the scalar one before the table one; a passing
+    cell keeps None."""
+
     r: int
     s: int
     scalar_ok: bool
     table_ok: bool
+    lhs: CoeffValue | None = None
+    rhs: CoeffValue | None = None
 
     @property
     def ok(self) -> bool:
@@ -263,13 +278,18 @@ def _check_cell(fn: Callable[[int], Scalar] | None, tbl, pair: CoeffPair) -> Cel
     """Table identity at the pair's cell, and the scalar identity over `fn`
     unless `fn` is None because it is already known to hold."""
     r, s = pair.r, pair.s
-    scalar_ok = True
+    scalar_ok, witness = True, (None, None)
     if fn is not None:
         lhs, rhs = _split_sides(pair, fn(r), fn(s), fn(r + s))
         scalar_ok = lhs == rhs
+        if not scalar_ok:
+            witness = lhs, rhs
     lhs, rhs = _split_sides(pair, tbl.binomial(r + s - 1, r - 1),
                             tbl.binomial(r + s - 1, r), tbl.binomial(r + s, r))
-    return CellCheck(r, s, scalar_ok, lhs == rhs)
+    table_ok = lhs == rhs
+    if scalar_ok and not table_ok:
+        witness = lhs, rhs
+    return CellCheck(r, s, scalar_ok, table_ok, *witness)
 
 
 def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport:

@@ -639,6 +639,11 @@ class QuadExt:
         if other is None:
             return NotImplemented
         a, b, c, d = self.alpha, self.beta, other.alpha, other.beta
+        # an embedded operand (sqrt part zero) multiplies componentwise
+        if b.is_zero():
+            return QuadExt(a * c, a * d, self.disc)
+        if d.is_zero():
+            return QuadExt(a * c, b * c, self.disc)
         return QuadExt(a * c + self.disc * b * d, a * d + b * c, self.disc)
 
     __rmul__ = __mul__
@@ -647,6 +652,9 @@ class QuadExt:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
+        c = other.alpha
+        if other.beta.is_zero() and not c.is_zero():
+            return QuadExt(self.alpha / c, self.beta / c, self.disc)
         return self * other.inverse()
 
     def __rtruediv__(self, other):

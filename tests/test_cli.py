@@ -311,6 +311,35 @@ def test_verify_broken_scalar_identity_exits_1(capsys, monkeypatch):
     assert "scalar identity broken at (1,1)" in err
 
 
+def _break_pascal_pairs(monkeypatch):
+    # (1, 1) for every cell: over the Fibonacci table, {1 choose 0} +
+    # {1 choose 1} = 2 against {2 choose 1} = 1 at the first cell
+    monkeypatch.setattr(recurrences, "family_coeffs",
+                        lambda family, r, s: recurrences.CoeffPair(r, s, Scalar(1), Scalar(1)))
+
+
+def test_verify_failure_carries_both_exact_sides(capsys, monkeypatch):
+    _break_pascal_pairs(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--preset", "fibonacci",
+                           "--family", "hu_sun", "--max-n", "3", "--format", "json")
+    assert code == 1
+    first = json.loads(out)["records"][0]
+    assert first == {"check": "pascal:hu_sun", "indices": [1, 1], "status": "fail",
+                     "lhs": "2", "rhs": "1"}
+
+
+def test_suite_pascal_failure_carries_both_exact_sides(capsys, monkeypatch, tmp_path):
+    _break_pascal_pairs(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"specs": [{"name": "fib", "preset": "fibonacci"}],
+                                  "families": ["gould"], "oracles": [], "max_n": 4}))
+    code, out, _ = run_cli(capsys, "suite", "--config", str(config), "--format", "json")
+    assert code == 1
+    record = json.loads(out)["records"][0]
+    assert record == {"check": "pascal:gould:fib", "indices": [4], "status": "fail",
+                      "lhs": "2", "rhs": "1", "note": "first failure at (1,1)"}
+
+
 def test_verify_corcino_needs_rational_roots(capsys):
     code, _, err = run_cli(capsys, "verify", "--preset", "fibonacci",
                            "--family", "corcino_a", "--max-n", "6")

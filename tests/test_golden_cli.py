@@ -236,3 +236,31 @@ def test_cli_golden(capsys, tmp_path, name):
 
 def test_every_case_is_pinned():
     assert set(CASES) | {"suite_small_config_report"} == set(GOLDEN_RUNS)
+
+
+# -- a suite shaped like the benchmark's ------------------------------------
+#
+# Pinned before the closed-form families moved to root-power ladders: a
+# max_n 12 suite over irrational-root, split-root and a != 0 specs, one of
+# them with rational initial values.
+
+BENCH_SHAPED_CONFIG = {
+    "specs": [
+        {"name": "irrational", "spec": {"a": "0", "b": "1", "s": "1", "t": "3"}},
+        {"name": "split", "spec": {"a": "0", "b": "1", "s": "1", "t": "6"}},
+        {"name": "shifted_irrational", "spec": {"a": "2", "b": "-1", "s": "3", "t": "1"}},
+        {"name": "shifted_split", "spec": {"a": "1", "b": "3", "s": "4", "t": "-3"}},
+        {"name": "rational_start", "spec": {"a": "1/2", "b": "2/3", "s": "2", "t": "5"}},
+    ],
+    "max_n": 12,
+}
+
+
+def test_bench_shaped_suite_golden(capsys, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(BENCH_SHAPED_CONFIG))
+    code = main(["suite", "--config", str(config_path), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (_stdout_digest("suite_bench_shaped_report", out)
+            == "9a4fd4115a905d0160f3aeef3f311c4e043f796b82ad09b026b7cd148dcbe712")

@@ -247,3 +247,29 @@ def test_quad_inverse(a):
         one = QuadExt.embed(1, Scalar(5))
         assert a * a.inverse() == one
         assert a ** 4 * a ** -4 == one
+
+
+def _general_mul(x: QuadExt, y: QuadExt) -> QuadExt:
+    a, b, c, d = x.alpha, x.beta, y.alpha, y.beta
+    return QuadExt(a * c + x.disc * b * d, a * d + b * c, x.disc)
+
+
+@given(quads, quads, st.builds(QuadExt, scalars, scalars, st.just(Scalar(5))))
+@settings(max_examples=60, deadline=None)
+def test_quad_embedded_fast_paths_match_general_formula(x, y, z):
+    # products and quotients with a zero sqrt part skip the cross terms
+    for u in (x, z):
+        e = QuadExt.embed(y.alpha, u.disc)
+        for left, right in ((e, u), (u, e), (e, e)):
+            product = left * right
+            assert product == _general_mul(left, right)
+            assert str(product) == str(_general_mul(left, right))
+        if not e.is_zero():
+            quotient = u / e
+            assert quotient == _general_mul(u, e.inverse())
+            assert str(quotient) == str(_general_mul(u, e.inverse()))
+
+
+def test_quad_division_by_embedded_zero_raises():
+    with pytest.raises(ZeroDivisionError, match="zero-norm"):
+        QuadExt(ONE, ONE, Scalar(5)) / QuadExt.embed(ZERO, Scalar(5))
