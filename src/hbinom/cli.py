@@ -26,7 +26,7 @@ from .binomials import (ZeroTermError, fbinomial, integrality_scan, mirror,
 from .recurrences import (FAMILY_TAGS, FamilyRequirementError,
                           ScalarIdentityError, SingularCoefficientError,
                           resolve_family, verify_pascal, vweighted_verify)
-from .report import Report
+from .report import ENGINE_VERSION, Report
 from .ring import Scalar
 from .sequences import (DegenerateRootsError, HoradamSpec, addition_check,
                         preset, series_verify, term)
@@ -111,8 +111,15 @@ def _rows_to_stream(rows: list[dict], fmt: str, header: list[str]) -> str:
 # triangle cache (JSONL, append-only)
 
 
+# Version of the cached record layout.  It and ENGINE_VERSION key every
+# record, so a file written by another format or engine misses cleanly and
+# its cells are recomputed rather than replayed.
+CACHE_FORMAT = 1
+
+
 def triangle_digest(spec: HoradamSpec, kind: str, parts: tuple[int, ...]) -> str:
-    payload = json.dumps({"kind": kind, "parts": list(parts),
+    payload = json.dumps({"cache_format": CACHE_FORMAT, "engine": ENGINE_VERSION,
+                          "kind": kind, "parts": list(parts),
                           "spec": spec.to_json()},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

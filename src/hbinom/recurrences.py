@@ -90,11 +90,38 @@ def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     projected values depend only on s and t, not on the initial values.
     For r = s the denominators vanish and the formal closed-form pair is
     returned instead.
+
+    Irrational roots come from `char_roots` as q = conj(p), so q^k =
+    conj(p^k) and every numerator and denominator has the form
+    x*conj(y) - conj(x)*y = 2*beta(x*conj(y))*sqrt(D): each coefficient is a
+    quotient of two sqrt parts.  Split roots take the full extension route,
+    `_alternating_by_extension`.
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
     if r == s:
         return coeffs_binet(binet, r, s)
+    if binet.p.beta.is_zero():
+        return _alternating_by_extension(binet, r, s)
+    p = binet.p_pow
+    p_rs, p_r, p_s = p[r + s], p[r], p[s]
+    denom = _conj_cross(p_r, p_s)
+    if denom.is_zero():
+        raise SingularCoefficientError(
+            f"alternating denominator vanishes at (r, s) = ({r}, {s})")
+    return CoeffPair(r, s, _conj_cross(p_rs, p_s) / denom,
+                     _conj_cross(p_rs, p_r) / -denom)
+
+
+def _conj_cross(x: QuadExt, y: QuadExt) -> Scalar:
+    """The sqrt part of x*conj(y)."""
+    return x.beta * y.alpha - x.alpha * y.beta
+
+
+def _alternating_by_extension(binet: BinetSpec, r: int, s: int) -> CoeffPair:
+    """The alternating pair at r != s by full extension products and
+    inversions; the route for split roots, and the reference for the
+    conjugate route of `coeffs_alternating`."""
     p, q = binet.p_pow, binet.q_pow
     p_rs, q_rs = p[r + s], q[r + s]
     denom = p[r] * q[s] - q[r] * p[s]

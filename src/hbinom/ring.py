@@ -382,6 +382,8 @@ class Scalar:
             return NotImplemented
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
+            if x.denominator == 1 == y.denominator:
+                return _from_int(x.numerator + y.numerator)
             return _from_fraction(x + y)
         if self._den == _P1 and other._den == _P1:
             return Scalar._raw(_padd(self._num, other._num), _P1)
@@ -397,6 +399,8 @@ class Scalar:
             return NotImplemented
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
+            if x.denominator == 1 == y.denominator:
+                return _from_int(x.numerator - y.numerator)
             return _from_fraction(x - y)
         return self.__add__(-other)
 
@@ -415,6 +419,8 @@ class Scalar:
             return NotImplemented
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
+            if x.denominator == 1 == y.denominator:
+                return _from_int(x.numerator * y.numerator)
             return _from_fraction(x * y)
         if self._den == _P1 and other._den == _P1:
             return Scalar._raw(_pmul_ff(self._num, other._num), _P1)
@@ -452,6 +458,11 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             return NotImplemented
+        # a rational base takes one Fraction power; other bases, and zero to
+        # a negative power, take the square-and-multiply route
+        x = _rational_value(self)
+        if x is not None and (x or exponent >= 0):
+            return _from_fraction(x ** exponent)
         return _power(self, exponent, ONE)
 
     def evaluate(self, point: ScalarLike) -> "Scalar":
@@ -552,6 +563,12 @@ def _rational_value(v: Scalar) -> Optional[Fraction]:
 
 def _from_fraction(f: Fraction) -> Scalar:
     return Scalar._raw((f,) if f else (), _P1)
+
+
+def _from_int(n: int) -> Scalar:
+    # the integer fast path of +, - and *: an int result wrapped once, with
+    # no Fraction operator dispatch or gcd
+    return Scalar._raw((Fraction(n),) if n else (), _P1)
 
 
 def _poly_str(coeffs: Coeffs) -> str:

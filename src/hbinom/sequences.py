@@ -303,15 +303,8 @@ class AdditionReport:
 def addition_check(spec: HoradamSpec, r: int, s: int) -> AdditionReport:
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
-    u_spec = preset("u", s=spec.s, t=spec.t)
-    v_spec = preset("v", s=spec.s, t=spec.t)
-
-    def u(n: int) -> Scalar:
-        return term(u_spec, n)
-
-    def v(n: int) -> Scalar:
-        return term(v_spec, n)
-
+    u = context(preset("u", s=spec.s, t=spec.t)).term
+    v = context(preset("v", s=spec.s, t=spec.t)).term
     d = spec.discriminant()
     u_ok = 2 * u(r + s) == u(r) * v(s) + u(s) * v(r)
     v_corrected_ok = 2 * v(r + s) == v(r) * v(s) + d * u(r) * u(s)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, caching, suite determinism."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -11,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from hbinom import recurrences
-from hbinom.cli import CACHE_DIR_ENV, main
+from hbinom import cli, recurrences
+from hbinom.cli import CACHE_DIR_ENV, main, triangle_digest
 from hbinom.ring import Scalar
+from hbinom.sequences import preset
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +231,47 @@ def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "triangle", "--preset", "fibonacci", "--max-n", "2")
     assert code == 0
     assert (tmp_path / "cachedir" / "triangles.jsonl").exists()
+
+
+def _unversioned_digest(spec, kind="binomial", parts=()):
+    """The cache key as it was before the format and engine versions joined it."""
+    payload = json.dumps({"kind": kind, "parts": list(parts), "spec": spec.to_json()},
+                         sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def test_records_under_an_unversioned_digest_are_not_replayed(tmp_path, capsys):
+    spec = preset("fibonacci")
+    args = ("triangle", "--preset", "fibonacci", "--max-n", "4", "--format", "csv")
+    _, expected, _ = run_cli(capsys, *args)
+    cache = tmp_path / "tri.jsonl"
+    old = _unversioned_digest(spec)
+    cache.write_text("".join(
+        json.dumps({"spec_hash": old, "n": n, "k": k, "value": "999"}) + "\n"
+        for n in range(5) for k in range(n + 1)))
+    code, out, _ = run_cli(capsys, *args, "--cache", str(cache))
+    assert code == 0
+    assert out == expected
+    fresh = [json.loads(line) for line in cache.read_text().splitlines()][15:]
+    assert len(fresh) == 15
+    assert {r["spec_hash"] for r in fresh} == {triangle_digest(spec, "binomial", ())}
+    assert triangle_digest(spec, "binomial", ()) != old
+
+
+@pytest.mark.parametrize("name", ["ENGINE_VERSION", "CACHE_FORMAT"])
+def test_a_version_bump_misses_the_old_records(tmp_path, capsys, monkeypatch, name):
+    cache = tmp_path / "tri.jsonl"
+    args = ("triangle", "--preset", "fibonacci", "--max-n", "3", "--format", "csv",
+            "--cache", str(cache))
+    _, expected, _ = run_cli(capsys, *args)
+    # hand-edit a cell; the running engine would replay it
+    cache.write_text(cache.read_text().replace('"value":"2"', '"value":"999"', 1))
+    assert "999" in run_cli(capsys, *args)[1]
+    monkeypatch.setattr(cli, name, getattr(cli, name) * 2)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out == expected
+    assert len(cache.read_text().splitlines()) == 20
 
 
 _APPENDER = """
@@ -518,6 +561,25 @@ def test_suite_series_on_a_repeated_root(tmp_path, capsys):
     record = next(r for r in json.loads(out)["records"] if r["check"] == "series:double")
     assert record["status"] == "pass"
     assert record["note"] == "exponential form skipped: repeated root"
+
+
+def test_suite_checks_survive_optimize_flag():
+    # `python -O` strips assert statements: a check that relied on one would
+    # pass there and change the report
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    docs = []
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-m", "hbinom.cli", "suite",
+                              "--format", "json"], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        doc.pop("generated_at")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["summary"]["fail"] == 0
 
 
 def test_suite_default_config(capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbinom.ring import (_P1, Scalar, _padd, _pdiv_exact, _pdivmod, _pmul,
-                         _pmul_ff, _primitive, _reduce, _trim)
+from hbinom.ring import (_P1, ONE, ZERO, Scalar, _padd, _pdiv_exact, _pdivmod,
+                         _pmul, _pmul_ff, _power, _primitive, _reduce, _trim)
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 polys = st.lists(fracs, max_size=7).map(_trim)
@@ -87,6 +87,59 @@ def test_rational_short_circuits(x, y):
     for op, value in expected.items():
         assert got[op].num_coeffs == ((value,) if value else ()), op
         assert got[op].den_coeffs == _P1, op
+
+
+# integers around the machine-word edges and past 2**64, where CPython's int
+# changes representation; 0 and +-1 are the identities of the ring
+ints = st.one_of(st.sampled_from([0, 1, -1, 2**63, -2**63, 2**64, -2**64, 2**64 + 1]),
+                 st.integers(-5, 5), st.integers(-2**80, 2**80))
+# integer and non-integer rationals mixed
+mixed = st.one_of(ints.map(Fraction), rationals,
+                  st.fractions(max_denominator=2**70))
+
+
+def _matches_fraction(got: Scalar, want: Fraction) -> None:
+    ref = Scalar(want)
+    assert got == ref
+    assert got.to_json() == ref.to_json()
+    assert got.num_coeffs == ((want,) if want else ())
+    assert all(type(c) is Fraction for c in got.num_coeffs)
+    assert got.den_coeffs == _P1
+
+
+@pytest.mark.parametrize("values", [ints, mixed], ids=["ints", "mixed"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rational_fast_paths_match_fraction(values, data):
+    x, y = data.draw(values), data.draw(values)
+    a, b = Scalar(x), Scalar(y)
+    fx, fy = Fraction(x), Fraction(y)
+    # both operands Scalar, and a plain int or Fraction on either side
+    for got, want in ((a + b, fx + fy), (a + y, fx + fy), (x + b, fx + fy),
+                      (a - b, fx - fy), (a - y, fx - fy), (x - b, fx - fy),
+                      (a * b, fx * fy), (a * y, fx * fy), (x * b, fx * fy)):
+        _matches_fraction(got, want)
+
+
+@given(mixed, st.integers(-8, 40))
+@settings(max_examples=120, deadline=None)
+def test_rational_power_matches_square_and_multiply(x, k):
+    base = Scalar(x)
+    if x == 0 and k < 0:
+        for route in (lambda: base ** k, lambda: _power(base, k, ONE)):
+            with pytest.raises(ZeroDivisionError):
+                route()
+        return
+    got, ref = base ** k, _power(base, k, ONE)
+    assert got == ref
+    assert got.to_json() == ref.to_json()
+    _matches_fraction(got, Fraction(x) ** k)
+
+
+def test_zero_to_a_negative_power_raises():
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+    assert ZERO ** 0 == ONE
 
 
 def _sympy_coeffs(poly, lc) -> tuple:
