@@ -94,14 +94,15 @@ def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     Irrational roots come from `char_roots` as q = conj(p), so q^k =
     conj(p^k) and every numerator and denominator has the form
     x*conj(y) - conj(x)*y = 2*beta(x*conj(y))*sqrt(D): each coefficient is a
-    quotient of two sqrt parts.  Split roots take the full extension route,
+    quotient of two sqrt parts.  Split roots, and any other pair without
+    `binet.conjugate_roots`, take the full extension route,
     `_alternating_by_extension`.
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
     if r == s:
         return coeffs_binet(binet, r, s)
-    if binet.p.beta.is_zero():
+    if not binet.conjugate_roots:
         return _alternating_by_extension(binet, r, s)
     p = binet.p_pow
     p_rs, p_r, p_s = p[r + s], p[r], p[s]

@@ -458,10 +458,10 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             return NotImplemented
-        # a rational base takes one Fraction power; other bases, and zero to
-        # a negative power, take the square-and-multiply route
+        # a rational base takes one Fraction power; other bases take the
+        # square-and-multiply route
         x = _rational_value(self)
-        if x is not None and (x or exponent >= 0):
+        if x is not None:
             return _from_fraction(x ** exponent)
         return _power(self, exponent, ONE)
 

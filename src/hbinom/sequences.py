@@ -147,7 +147,8 @@ class Ladder:
 class BinetSpec:
     """Closed-form data: H(n) = A*p^n + B*q^n in the extension over disc,
     with ladders p_pow[k] = p^k, q_pow[k] = q^k, a_p_pow[k] = A*p^k and
-    b_q_pow[k] = B*q^k."""
+    b_q_pow[k] = B*q^k.  `conjugate_roots` is true when p is irrational and
+    q = conj(p), as `char_roots` builds them."""
 
     A: QuadExt
     B: QuadExt
@@ -157,8 +158,11 @@ class BinetSpec:
     q_pow: Ladder = field(init=False, compare=False, repr=False)
     a_p_pow: Ladder = field(init=False, compare=False, repr=False)
     b_q_pow: Ladder = field(init=False, compare=False, repr=False)
+    conjugate_roots: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "conjugate_roots",
+                           not self.p.beta.is_zero() and self.q == self.p.conj())
         one = QuadExt.embed(ONE, self.disc)
         for name, start, base in (("p_pow", one, self.p), ("q_pow", one, self.q),
                                   ("a_p_pow", self.A, self.p), ("b_q_pow", self.B, self.q)):

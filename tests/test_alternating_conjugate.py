@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hbinom.recurrences import (SingularCoefficientError, _alternating_by_extension,
                                 coeffs_alternating)
-from hbinom.ring import Scalar
-from hbinom.sequences import HoradamSpec, preset, to_binet
+from hbinom.ring import IrrationalResidueError, QuadExt, Scalar
+from hbinom.sequences import BinetSpec, HoradamSpec, preset, to_binet
 
 # presets with irrational characteristic roots, and how far each is compared
 PRESETS = [(preset("fibonacci"), 24), (preset("pell"), 24),
@@ -57,6 +57,7 @@ def _check_routes(spec: HoradamSpec, max_n: int) -> None:
 
 def _check_conjugate_ladders(spec: HoradamSpec, top: int) -> None:
     binet = to_binet(spec)
+    assert binet.conjugate_roots
     assert binet.q == binet.p.conj()
     for k in range(top + 1):
         assert binet.q_pow[k] == binet.p_pow[k].conj()
@@ -91,7 +92,18 @@ def test_conjugate_route_matches_extension_route_on_polynomial_specs(spec):
 
 def test_split_roots_keep_the_extension_route():
     binet = to_binet(preset("u", s=3, t=-2))
-    assert binet.p.beta.is_zero()
+    assert binet.p.beta.is_zero() and not binet.conjugate_roots
     # roots 2 and 1: h1 = (16 - 2)/(8 - 2), h2 = (16 - 8)/-(8 - 2)
     pair = coeffs_alternating(binet, 3, 1)
     assert (pair.h1, pair.h2) == (Scalar(Fraction(7, 3)), Scalar(Fraction(-4, 3)))
+
+
+def test_non_conjugate_irrational_roots_keep_the_extension_route():
+    # p = (1 + sqrt 5)/2 and q = p + 1 are irrational but not conjugate, so
+    # the sqrt parts of the alternating ratios do not cancel
+    half, one = Scalar(Fraction(1, 2)), Scalar(1)
+    p = QuadExt(half, half, Scalar(5))
+    binet = BinetSpec(QuadExt.embed(one, 5), QuadExt.embed(0, 5), p, p + 1)
+    assert not binet.conjugate_roots
+    with pytest.raises(IrrationalResidueError):
+        coeffs_alternating(binet, 2, 1)
