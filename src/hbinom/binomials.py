@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, Union
 
 from . import oracles
 from .ring import ONE, ZERO, Scalar, ScalarLike
-from .sequences import HoradamSpec, context
+from .sequences import HoradamSpec, context, preset
 
 SequenceLike = Union[HoradamSpec, Callable[[int], ScalarLike]]
 
@@ -190,20 +190,14 @@ class QstarReport:
 
 
 def qstar_transfer(p: ScalarLike, q: ScalarLike, n: int, k: int) -> QstarReport:
-    """Check {n choose k} over U(m) = sum p^(m-1-j) q^j equals
-    q^(k(n-k)) * Gauss(n, k) evaluated at p/q.  Needs p*q != 0."""
+    """Check {n choose k} over U(m) = sum p^(m-1-j) q^j, the fundamental
+    sequence U(p+q, -pq), equals q^(k(n-k)) * Gauss(n, k) evaluated at p/q.
+    Needs p*q != 0."""
     p = Scalar.coerce(p)
     q = Scalar.coerce(q)
     if p.is_zero() or q.is_zero():
         raise ValueError("transfer needs p*q != 0")
-
-    def power_sum(m: int) -> Scalar:
-        acc = ZERO
-        for j in range(m):
-            acc = acc + p ** (m - 1 - j) * q ** j
-        return acc
-
-    lhs = fbinomial(power_sum, n, k)
+    lhs = fbinomial(preset("u", s=p + q, t=-(p * q)), n, k)
     gauss = oracles.gaussian_binomial(n, k)
     rhs = q ** (k * (n - k)) * gauss.evaluate(p / q)
     return QstarReport(n, k, lhs, rhs, lhs == rhs)

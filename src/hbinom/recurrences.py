@@ -15,7 +15,8 @@ from typing import Callable, Dict, NamedTuple, Union
 
 from .binomials import SequenceLike, sequence_fn, table_for
 from .ring import ONE, QuadExt, Scalar, ScalarLike
-from .sequences import BinetSpec, HoradamSpec, char_roots, preset, term, to_binet
+from .sequences import (BinetSpec, HoradamSpec, char_roots, context, preset, term,
+                        to_binet)
 
 CoeffValue = Union[Scalar, QuadExt]
 
@@ -86,51 +87,43 @@ def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     """Base-field pair from alternating root-power ratios.
 
     h1 = (p^(r+s) q^s - q^(r+s) p^s) / (p^r q^s - q^r p^s) and h2 the mirror
-    ratio; both are symmetric in p, q, so the sqrt parts cancel and the
-    projected values depend only on s and t, not on the initial values.
-    For r = s the denominators vanish and the formal closed-form pair is
-    returned instead.
-
-    Irrational roots come from `char_roots` as q = conj(p), so q^k =
-    conj(p^k) and every numerator and denominator has the form
-    x*conj(y) - conj(x)*y = 2*beta(x*conj(y))*sqrt(D): each coefficient is a
-    quotient of two sqrt parts.  Split roots, and any other pair without
-    `binet.conjugate_roots`, take the full extension route,
-    `_alternating_by_extension`.
+    ratio.  Both cancel to terms of the fundamental sequence U(p+q, -pq):
+    with t = -pq and d = |r - s|, for r > s h1 = U(r)/U(d) and
+    h2 = -(-t)^d U(s)/U(d); for r < s h1 = -(-t)^d U(r)/U(d) and
+    h2 = U(s)/U(d).  The denominator vanishes exactly when t = 0 or
+    U(d) = 0.  For r = s it vanishes identically and the formal closed-form
+    pair is returned instead.  Roots whose sum or product is irrational
+    raise IrrationalResidueError.
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
     if r == s:
         return coeffs_binet(binet, r, s)
-    if not binet.conjugate_roots:
-        return _alternating_by_extension(binet, r, s)
-    p = binet.p_pow
-    p_rs, p_r, p_s = p[r + s], p[r], p[s]
-    denom = _conj_cross(p_r, p_s)
-    if denom.is_zero():
+    pq = -binet.fundamental.t
+    u = context(binet.fundamental).term
+    d = abs(r - s)
+    u_d = u(d)
+    if pq.is_zero() or u_d.is_zero():
         raise SingularCoefficientError(
             f"alternating denominator vanishes at (r, s) = ({r}, {s})")
-    return CoeffPair(r, s, _conj_cross(p_rs, p_s) / denom,
-                     _conj_cross(p_rs, p_r) / -denom)
-
-
-def _conj_cross(x: QuadExt, y: QuadExt) -> Scalar:
-    """The sqrt part of x*conj(y)."""
-    return x.beta * y.alpha - x.alpha * y.beta
+    cross = -pq ** d
+    if r > s:
+        return CoeffPair(r, s, u(r) / u_d, cross * u(s) / u_d)
+    return CoeffPair(r, s, cross * u(r) / u_d, u(s) / u_d)
 
 
 def _alternating_by_extension(binet: BinetSpec, r: int, s: int) -> CoeffPair:
-    """The alternating pair at r != s by full extension products and
-    inversions; the route for split roots, and the reference for the
-    conjugate route of `coeffs_alternating`."""
-    p, q = binet.p_pow, binet.q_pow
-    p_rs, q_rs = p[r + s], q[r + s]
-    denom = p[r] * q[s] - q[r] * p[s]
+    """The alternating pair at r != s by root powers, full extension products
+    and inversions: the reference for `coeffs_alternating`."""
+    p, q = binet.p, binet.q
+    p_rs, q_rs = p ** (r + s), q ** (r + s)
+    p_r, q_r, p_s, q_s = p ** r, q ** r, p ** s, q ** s
+    denom = p_r * q_s - q_r * p_s
     if denom.is_zero():
         raise SingularCoefficientError(
             f"alternating denominator vanishes at (r, s) = ({r}, {s})")
-    h1 = (p_rs * q[s] - q_rs * p[s]) / denom
-    h2 = (p_rs * q[r] - q_rs * p[r]) / (-denom)
+    h1 = (p_rs * q_s - q_rs * p_s) / denom
+    h2 = (p_rs * q_r - q_rs * p_r) / (-denom)
     return CoeffPair(r, s, h1.project(), h2.project())
 
 

@@ -59,10 +59,6 @@ def _pneg(a: Coeffs) -> Coeffs:
     return tuple(-c for c in a)
 
 
-def _psub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return _padd(a, _pneg(b))
-
-
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
     if not a or not b:
         return ()
@@ -700,10 +696,6 @@ class QuadExt:
 
     def is_zero(self) -> bool:
         return self.alpha.is_zero() and self.beta.is_zero()
-
-    @property
-    def is_rational_part_only(self) -> bool:
-        return self.beta.is_zero()
 
     def project(self) -> Scalar:
         """Base-field value of an element whose sqrt part cancelled."""

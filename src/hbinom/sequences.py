@@ -12,6 +12,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .ring import ONE, ZERO, QuadExt, Scalar, ScalarLike, X
 
@@ -146,31 +147,28 @@ class Ladder:
 @dataclass(frozen=True)
 class BinetSpec:
     """Closed-form data: H(n) = A*p^n + B*q^n in the extension over disc,
-    with ladders p_pow[k] = p^k, q_pow[k] = q^k, a_p_pow[k] = A*p^k and
-    b_q_pow[k] = B*q^k.  `conjugate_roots` is true when p is irrational and
-    q = conj(p), as `char_roots` builds them."""
+    with ladders a_p_pow[k] = A*p^k and b_q_pow[k] = B*q^k."""
 
     A: QuadExt
     B: QuadExt
     p: QuadExt
     q: QuadExt
-    p_pow: Ladder = field(init=False, compare=False, repr=False)
-    q_pow: Ladder = field(init=False, compare=False, repr=False)
     a_p_pow: Ladder = field(init=False, compare=False, repr=False)
     b_q_pow: Ladder = field(init=False, compare=False, repr=False)
-    conjugate_roots: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "conjugate_roots",
-                           not self.p.beta.is_zero() and self.q == self.p.conj())
-        one = QuadExt.embed(ONE, self.disc)
-        for name, start, base in (("p_pow", one, self.p), ("q_pow", one, self.q),
-                                  ("a_p_pow", self.A, self.p), ("b_q_pow", self.B, self.q)):
-            object.__setattr__(self, name, Ladder(start, base))
+        object.__setattr__(self, "a_p_pow", Ladder(self.A, self.p))
+        object.__setattr__(self, "b_q_pow", Ladder(self.B, self.q))
 
     @property
     def disc(self) -> Scalar:
         return self.p.disc
+
+    @cached_property
+    def fundamental(self) -> HoradamSpec:
+        """U(p+q, -pq), whose terms are (p^n - q^n)/(p - q); an irrational
+        root sum or product raises IrrationalResidueError."""
+        return preset("u", s=(self.p + self.q).project(), t=-(self.p * self.q).project())
 
 
 def to_binet(spec: HoradamSpec) -> BinetSpec:

@@ -1,5 +1,5 @@
-"""The conjugate route of the alternating family against its full extension
-route, cell by cell, and the invariant q^k = conj(p^k) the route relies on."""
+"""The alternating family's U-ratio route against its full extension route,
+cell by cell, on irrational, split, opposite and t = 0 roots."""
 
 from fractions import Fraction
 
@@ -55,18 +55,28 @@ def _check_routes(spec: HoradamSpec, max_n: int) -> None:
                         == _outcome(_alternating_by_extension, binet, r, s)), (r, s)
 
 
-def _check_conjugate_ladders(spec: HoradamSpec, top: int) -> None:
-    binet = to_binet(spec)
-    assert binet.conjugate_roots
-    assert binet.q == binet.p.conj()
-    for k in range(top + 1):
-        assert binet.q_pow[k] == binet.p_pow[k].conj()
-
-
 @pytest.mark.parametrize("spec,max_n", PRESETS, ids=PRESET_IDS)
 def test_conjugate_route_matches_extension_route_on_presets(spec, max_n):
-    _check_conjugate_ladders(spec, max_n)
     _check_routes(spec, max_n)
+
+
+# rational roots: split, opposite (U(even) = 0) and t = 0 (every r != s singular)
+RATIONAL_ROOTS = [preset("u", s=3, t=-2), preset("v", s=3, t=-2), preset("u", s=0, t=1),
+                  preset("u", s=2, t=0), HoradamSpec(5, -1, 2, 0)]
+RATIONAL_ROOT_IDS = ["u_split", "v_split", "u_opposite", "u_t0", "t0"]
+
+
+@pytest.mark.parametrize("spec", RATIONAL_ROOTS, ids=RATIONAL_ROOT_IDS)
+def test_u_ratio_route_matches_extension_route_on_rational_roots(spec):
+    binet = to_binet(spec)
+    for total in range(3, 25):
+        for r in range(1, total):
+            s = total - r
+            if r != s:
+                outcome = _outcome(coeffs_alternating, binet, r, s)
+                assert outcome == _outcome(_alternating_by_extension, binet, r, s), (r, s)
+                if spec.t.is_zero():
+                    assert outcome == "singular", (r, s)
 
 
 def test_comparison_reaches_singular_cells():
@@ -79,20 +89,18 @@ def test_comparison_reaches_singular_cells():
 @given(rational_specs)
 @settings(max_examples=25, deadline=None)
 def test_conjugate_route_matches_extension_route_on_rational_specs(spec):
-    _check_conjugate_ladders(spec, 16)
     _check_routes(spec, 16)
 
 
 @given(polynomial_specs)
 @settings(max_examples=8, deadline=None)
 def test_conjugate_route_matches_extension_route_on_polynomial_specs(spec):
-    _check_conjugate_ladders(spec, 8)
     _check_routes(spec, 8)
 
 
 def test_split_roots_keep_the_extension_route():
     binet = to_binet(preset("u", s=3, t=-2))
-    assert binet.p.beta.is_zero() and not binet.conjugate_roots
+    assert binet.p.beta.is_zero()
     # roots 2 and 1: h1 = (16 - 2)/(8 - 2), h2 = (16 - 8)/-(8 - 2)
     pair = coeffs_alternating(binet, 3, 1)
     assert (pair.h1, pair.h2) == (Scalar(Fraction(7, 3)), Scalar(Fraction(-4, 3)))
@@ -104,6 +112,5 @@ def test_non_conjugate_irrational_roots_keep_the_extension_route():
     half, one = Scalar(Fraction(1, 2)), Scalar(1)
     p = QuadExt(half, half, Scalar(5))
     binet = BinetSpec(QuadExt.embed(one, 5), QuadExt.embed(0, 5), p, p + 1)
-    assert not binet.conjugate_roots
     with pytest.raises(IrrationalResidueError):
         coeffs_alternating(binet, 2, 1)

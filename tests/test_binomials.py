@@ -133,6 +133,23 @@ def test_qstar_transfer():
                 assert qstar_transfer(p, q, n, k).ok
 
 
+def _power_sum(p, q):
+    """U(m) = m_{p,q} = sum p^(m-1-j) q^j, written out."""
+    p, q = Scalar(Fraction(p)), Scalar(Fraction(q))
+    return lambda m: sum((p ** (m - 1 - j) * q ** j for j in range(m)), ZERO)
+
+
+@pytest.mark.parametrize("p,q", [(2, 1), (1, 2), (3, 2), (1, 1)])
+def test_fundamental_sequence_is_the_power_sum(p, q):
+    u_spec = preset("u", s=p + q, t=-p * q)
+    power_sum = _power_sum(p, q)
+    for m in range(13):
+        assert term(u_spec, m) == power_sum(m)
+    for n in range(7):
+        for k in range(n + 1):
+            assert qstar_transfer(p, q, n, k).lhs == fbinomial(power_sum, n, k)
+
+
 def test_qstar_transfer_rejects_zero_root():
     with pytest.raises(ValueError):
         qstar_transfer(0, 1, 4, 2)
