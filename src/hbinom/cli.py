@@ -326,7 +326,8 @@ def _strip_tilings(length: int) -> int:
 
 # name -> (function in `oracles`, looked up at call time; number of integer
 # arguments; their cost as (steps, recursion depth)).  md_ubinomial also takes
-# --s and --t, and each of its Scalar products costs about 60 int products.
+# --s and --t; on polynomial weights each of its Scalar products costs about
+# 60 int products, while rational weights run on plain ints or Fractions.
 ORACLES = {
     "box": ("partitions_in_box_gf", 2,
             lambda h, w: (_choose(h + w, h), h if w > 0 else 0)),
@@ -542,13 +543,11 @@ def _suite_fourway(report: Report, config: SuiteConfig) -> None:
 
 
 def _suite_subspaces(report: Report, config: SuiteConfig) -> None:
+    gauss = [[oracles.gaussian_binomial(n, k) for k in range(n + 1)] for n in range(5)]
     for q in (2, 3):
-        ok = True
-        for n in range(5):
-            for k in range(n + 1):
-                count = oracles.subspace_count(n, k, q)
-                gauss = oracles.gaussian_binomial(n, k).evaluate(q).as_int()
-                ok = ok and count == gauss
+        ok = all(count == gauss[n][k].evaluate(q).as_int()
+                 for n in range(5)
+                 for k, count in enumerate(oracles.subspace_counts(n, q)))
         report.add(f"oracle:subspaces:q{q}", (4,), ok)
 
 

@@ -66,55 +66,78 @@ def inversion_gf(n: int, k: int) -> list[int]:
     return counts
 
 
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def gaussian_binomial(n: int, k: int) -> Scalar:
-    """q-binomial as an exact ratio of q-factorial polynomials."""
+    """q-binomial as an exact ratio of q-factorial polynomials.
+
+    The prefix [0]_q! .. [n]_q! is built on ints; the monic divisor
+    [k]_q! [n-k]_q! is taken out of [n]_q! by integer long division."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-
-    def qfact(m: int) -> Scalar:
-        acc = ONE
-        for i in range(1, m + 1):
-            acc = acc * Scalar.poly([1] * i)
-        return acc
-
-    ratio = qfact(n) / (qfact(k) * qfact(n - k))
-    if not ratio.is_polynomial:
+    qfact = [[1]]
+    for i in range(1, n + 1):
+        qfact.append(_int_poly_mul(qfact[-1], [1] * i))
+    rem, den = list(qfact[n]), _int_poly_mul(qfact[k], qfact[n - k])
+    quo = [0] * (len(rem) - len(den) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        f = quo[shift] = rem[shift + len(den) - 1]
+        for i, c in enumerate(den):
+            rem[shift + i] -= f * c
+    if any(rem):
         raise ArithmeticError("q-factorial ratio failed to divide exactly")
-    return ratio
+    return Scalar.poly(quo)
 
 
-def subspace_count(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n by explicit closure.
+def subspace_counts(n: int, q: int) -> list[int]:
+    """Numbers of k-dimensional subspaces of F_q^n for k = 0..n, by one
+    explicit closure walk.
 
-    Grows spans one generator at a time, deduplicating spans by their
-    membership set; only q in {2, 3} and n <= 4 are supported.  A span is
-    extended only by vectors outside the superspaces already built from it:
-    two distinct one-larger superspaces meet in the span itself, so each is
-    built once.
+    Vectors are coded as the integers 0..q^n-1 (base-q digits), with a
+    precomputed addition table.  Spans grow one generator at a time, level by
+    level, deduplicated by their membership set; only q in {2, 3} and n <= 4
+    are supported.  A span is extended only by vectors outside the
+    superspaces already built from it: two distinct one-larger superspaces
+    meet in the span itself, so each is built once.
     """
     if q not in (2, 3):
         raise ValueError("only prime fields of size 2 and 3 are supported")
-    if not 0 <= k <= n <= 4:
-        raise ValueError("need 0 <= k <= n <= 4")
-    vectors = list(product(range(q), repeat=n))
-    zero = (0,) * n
+    if not 0 <= n <= 4:
+        raise ValueError("need 0 <= n <= 4")
+    digits = list(product(range(q), repeat=n))
+    code = {d: i for i, d in enumerate(digits)}
+    add = [[code[tuple((x + y) % q for x, y in zip(dv, dw))] for dw in digits]
+           for dv in digits]
+    multiples = [[code[tuple(c * x % q for x in d)] for c in range(q)] for d in digits]
+    vectors = range(len(digits))
 
-    def extend(space: frozenset, v: tuple) -> frozenset:
-        return frozenset(tuple((wi + c * vi) % q for wi, vi in zip(w, v))
-                         for w in space for c in range(q))
-
-    spans = {frozenset([zero])}
-    for _ in range(k):
+    spans = {frozenset([0])}
+    counts = [1]
+    for _ in range(n):
         grown = set()
         for space in spans:
             covered = set(space)
             for v in vectors:
                 if v not in covered:
-                    bigger = extend(space, v)
+                    bigger = frozenset(add[w][m] for w in space for m in multiples[v])
                     covered |= bigger
                     grown.add(bigger)
         spans = grown
-    return len(spans)
+        counts.append(len(spans))
+    return counts
+
+
+def subspace_count(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n, read off `subspace_counts`."""
+    if q in (2, 3) and not 0 <= k <= n <= 4:
+        raise ValueError("need 0 <= k <= n <= 4")
+    return subspace_counts(n, q)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +254,19 @@ def md_ubinomial(n: int, k: int, s: ScalarLike, t: ScalarLike) -> Scalar:
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    s = Scalar.coerce(s)
-    t = Scalar.coerce(t)
-    useq = [ZERO, ONE]
+    s, t = Scalar.coerce(s), Scalar.coerce(t)
+    zero, one = ZERO, ONE
+    if s.is_rational and t.is_rational:
+        # rational weights: the sums run on int (or Fraction) and are wrapped once
+        s, t = (int(f) if f.denominator == 1 else f
+                for f in (s.as_fraction(), t.as_fraction()))
+        zero, one = 0, 1
+    useq = [zero, one]
     while len(useq) <= n:
         useq.append(s * useq[-1] + t * useq[-2])
 
-    total = ZERO
+    total = zero
     for xs in combinations(range(1, n + 1), k):
         total = total + _tuple_product(useq, n, k, xs,
-                                       t ** (xs[-1] - k) if xs else ONE)
-    return total
+                                       t ** (xs[-1] - k) if xs else one)
+    return Scalar.coerce(total)

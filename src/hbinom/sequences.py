@@ -98,7 +98,9 @@ def context(spec: HoradamSpec) -> SeqContext:
         if len(_contexts) > CONTEXT_LIMIT:
             _contexts.popitem(last=False)
     else:
-        _contexts.move_to_end(spec)
+        # by the stored key itself: an equal but distinct spec is compared
+        # field by field once per lookup, not twice
+        _contexts.move_to_end(ctx.spec)
     return ctx
 
 

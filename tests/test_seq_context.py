@@ -73,6 +73,27 @@ def test_recently_used_context_survives_eviction():
     assert context(keep) is kept
 
 
+def test_equal_but_distinct_spec_shares_the_context_with_one_compare(monkeypatch):
+    fib = preset("fibonacci")
+    ctx = context(fib)
+    twin = to_binet(fib).fundamental   # U(1, 1): equal to the preset, another object
+    assert twin is not fib and twin == fib
+    compares = []
+    field_eq = HoradamSpec.__eq__
+    monkeypatch.setattr(HoradamSpec, "__eq__",
+                        lambda a, b: compares.append(1) or field_eq(a, b))
+    assert context(twin) is ctx
+    assert context(fib) is ctx
+    assert len(compares) == 1
+    # a lookup by the twin counts as a use of the shared context
+    for i in range(3 * CONTEXT_LIMIT):
+        term(_fresh_spec(i), 1)
+        if i % 100 == 0:
+            context(twin)
+    assert context(fib) is ctx
+    assert len(sequences._contexts) <= CONTEXT_LIMIT
+
+
 def test_one_context_serves_terms_table_and_closed_form():
     spec = HoradamSpec(Scalar(3), Scalar(-2), Scalar(1), Scalar(3))
     ctx = context(spec)
