@@ -545,9 +545,8 @@ def _suite_fourway(report: Report, config: SuiteConfig) -> None:
 def _suite_subspaces(report: Report, config: SuiteConfig) -> None:
     gauss = [[oracles.gaussian_binomial(n, k) for k in range(n + 1)] for n in range(5)]
     for q in (2, 3):
-        ok = all(count == gauss[n][k].evaluate(q).as_int()
-                 for n in range(5)
-                 for k, count in enumerate(oracles.subspace_counts(n, q)))
+        ok = all(oracles.subspace_counts(n, q) == [g.evaluate(q).as_int() for g in row]
+                 for n, row in enumerate(gauss))
         report.add(f"oracle:subspaces:q{q}", (4,), ok)
 
 
