@@ -67,6 +67,7 @@ def inversion_gf(n: int, k: int) -> list[int]:
 
 
 def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    # a local product, not the ring's kernel, so the oracle shares no code with it
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -97,14 +98,13 @@ def gaussian_binomial(n: int, k: int) -> Scalar:
 
 def subspace_counts(n: int, q: int) -> list[int]:
     """Numbers of k-dimensional subspaces of F_q^n for k = 0..n, by one
-    explicit closure walk.
+    explicit closure walk; only q in {2, 3} and n <= 4 are supported.
 
-    Vectors are coded as the integers 0..q^n-1 (base-q digits), with a
-    precomputed addition table.  Spans grow one generator at a time, level by
-    level, deduplicated by their membership set; only q in {2, 3} and n <= 4
-    are supported.  A span is extended only by vectors outside the
-    superspaces already built from it: two distinct one-larger superspaces
-    meet in the span itself, so each is built once.
+    Vectors are coded as the integers 0..q^n-1, with precomputed addition and
+    scalar-multiple tables.  Spans grow one generator at a time, level by
+    level, deduplicated by their membership set.  A span is extended only by
+    vectors outside the superspaces already built from it: two distinct
+    one-larger superspaces meet in the span itself, so each is built once.
     """
     if q not in (2, 3):
         raise ValueError("only prime fields of size 2 and 3 are supported")
@@ -199,7 +199,7 @@ def _fib_list(n: int) -> list[int]:
 def _tuple_product(seq, n: int, k: int, xs: tuple[int, ...], acc):
     """acc times the product over i of seq[k-i]^(x_i - x_{i-1} - 1) *
     seq[n - x_i - (k-i) + 1] along the increasing tuple xs, with x_0 = 0 and
-    seq[0]^0 = 1.  Works on int and Scalar terms alike."""
+    seq[0]^0 = 1.  Works on int, Fraction and Scalar terms alike."""
     prev = 0
     for i, x in enumerate(xs, start=1):
         gap = x - prev - 1
