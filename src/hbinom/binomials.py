@@ -10,6 +10,10 @@ C(n,k) = C(n-1,k-1) * F(n) / F(k), one product and one division by a single
 term per cell, with no factorial bigints.  The factorial ratio stays the
 reference route: single cells and the Pascal-family checks read it, never the
 rows.
+
+Cells are `Scalar` values.  For a spec whose entries are all rational the
+table also gives the factorial-ratio cells as native `int`/`Fraction` values
+(`native_binomial`), which the Pascal-family checks run on.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Union
 
 from . import oracles
-from .ring import ONE, ZERO, Scalar, ScalarLike
+from .ring import ONE, ZERO, Native, Scalar, ScalarLike, native, ndiv
 from .sequences import HoradamSpec, context, preset
 
 SequenceLike = Union[HoradamSpec, Callable[[int], ScalarLike]]
@@ -51,6 +55,8 @@ class BinomialTable:
         self._fact = [ONE]
         self._cells: Dict[tuple[int, int], Scalar] = {}
         self._rows: list[tuple[Scalar, ...]] = [(ONE,)]
+        self._native_fact: list[Native] = [1]
+        self._native_cells: Dict[tuple[int, int], Native] = {}
 
     def _term(self, i: int) -> Scalar:
         """F(i) for i >= 1; the first zero among F(1..i) raises ZeroTermError."""
@@ -95,6 +101,29 @@ class BinomialTable:
         if value is None:
             value = self.factorial(n) / (self.factorial(k) * self.factorial(n - k))
             self._cells[key] = value
+        return value
+
+    def _native_factorial(self, n: int) -> Native:
+        fact = self._native_fact
+        if len(fact) <= n:
+            term = context(self.source).native_term
+            while len(fact) <= n:
+                f_j = term(len(fact))
+                if not f_j:
+                    raise ZeroTermError(len(fact))
+                fact.append(native(fact[-1] * f_j))
+        return fact[n]
+
+    def native_binomial(self, n: int, k: int) -> Native:
+        """binomial(n, k) as an int or Fraction, by the same factorial ratio;
+        the table's source must be a rational spec."""
+        if k < 0 or k > n:
+            return 0
+        key = (n, k)
+        value = self._native_cells.get(key)
+        if value is None:
+            fact = self._native_factorial
+            value = self._native_cells[key] = ndiv(fact(n), fact(k) * fact(n - k))
         return value
 
     def multinomial(self, parts: Iterable[int]) -> Scalar:

@@ -399,6 +399,10 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+        for key in ("specs", "families", "oracles"):
+            if key in obj and not isinstance(obj[key], list):
+                raise ConfigError(f"{key} must be a list")
+
         specs = []
         for entry in obj.get("specs", []):
             if not isinstance(entry, dict) or "name" not in entry:
@@ -432,7 +436,7 @@ class SuiteConfig:
                 raise ConfigError(f"unknown oracle group {group!r}")
 
         max_n = obj.get("max_n", 10)
-        if not isinstance(max_n, int) or max_n < 1:
+        if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 1:
             raise ConfigError("max_n must be an integer >= 1")
 
         fmt = obj.get("format", "text")
@@ -481,19 +485,20 @@ def _suite_families(report: Report, config: SuiteConfig) -> None:
         for tag in config.families:
             check = f"pascal:{tag}:{name}"
             note = ""
-            if tag == "vweighted":
-                bad = [c for c in vweighted_verify(spec, config.max_n).cells if not c.ok]
-            else:
-                try:
+            try:
+                if tag == "vweighted":
+                    bad = [c for c in vweighted_verify(spec, config.max_n).cells
+                           if not c.ok]
+                else:
                     family = resolve_family(tag, spec)
                     pascal = verify_pascal(family.seq, family, config.max_n)
-                except (FamilyRequirementError, DegenerateRootsError, ZeroTermError,
-                        SingularCoefficientError) as exc:
-                    report.skip(check, (config.max_n,), str(exc))
-                    continue
-                bad = pascal.failures
-                if pascal.uses_extension:
-                    note = "coefficients live in the quadratic extension"
+                    bad = pascal.failures
+                    if pascal.uses_extension:
+                        note = "coefficients live in the quadratic extension"
+            except (FamilyRequirementError, DegenerateRootsError, ZeroTermError,
+                    SingularCoefficientError) as exc:
+                report.skip(check, (config.max_n,), str(exc))
+                continue
             if bad:
                 note = f"first failure at ({bad[0].r},{bad[0].s})"
             report.add(check, (config.max_n,), not bad,
@@ -609,7 +614,7 @@ def _suite_integrality(report: Report, config: SuiteConfig) -> None:
 
 def _suite_series(report: Report, config: SuiteConfig) -> None:
     for name, spec in config.specs:
-        if not all(getattr(spec, f).is_rational for f in ("a", "b", "s", "t")):
+        if not spec.is_rational:
             report.skip(f"series:{name}", (config.max_n,),
                         "series checks need rational spec entries")
             continue

@@ -6,15 +6,25 @@ If a coefficient pair (h1, h2) satisfies the scalar identity
 This module builds the classical coefficient families, checks the scalar
 identity on construction, and verifies the cell identity over whole tables.
 h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
+
+Each family's rule is written once, over + - * ** and truth tests, with its
+divisions through the number type's `div`.  A table whose spec has rational
+entries is checked on native values: `int`/`Fraction` terms and cells, and
+`NativeExt` pairs for the closed-form families.  Any other table runs the
+same rules on `Scalar` and `QuadExt`.  Values leave the module as `Scalar`
+and `QuadExt` on both routes: the pairs of `family_coeffs`, `coeffs_binet`
+and `coeffs_alternating`, and the sides in cell records and error messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Dict, NamedTuple, Union
 
-from .binomials import SequenceLike, sequence_fn, table_for
-from .ring import ONE, QuadExt, Scalar, ScalarLike
+from .binomials import BinomialTable, SequenceLike, sequence_fn, table_for
+from .ring import ONE, NativeExt, QuadExt, Scalar, ScalarLike, lift, native, ndiv
 from .sequences import (BinetSpec, HoradamSpec, char_roots, context, preset, term,
                         to_binet)
 
@@ -33,6 +43,32 @@ class FamilyRequirementError(ValueError):
     """A family cannot be built for the given sequence."""
 
 
+class _Numbers(NamedTuple):
+    """A number type the rules run on: how a Scalar reads in it, how it
+    divides, its one, and how it reads a sequence's terms, a closed form's
+    ladders A*p^k and B*q^k, and a table's factorial-ratio cells."""
+
+    value: Callable[[Scalar], object]
+    div: Callable[[object, object], object]
+    one: object
+    terms: Callable[[SequenceLike], Callable[[int], object]]
+    ladders: Callable[[BinetSpec], tuple]
+    cells: Callable[[BinomialTable], Callable[[int, int], object]]
+
+
+SCALAR = _Numbers(lambda x: x, operator.truediv, ONE, sequence_fn,
+                  lambda binet: (binet.a_p_pow, binet.b_q_pow),
+                  lambda table: table.binomial)
+NATIVE = _Numbers(native, ndiv, 1, lambda spec: context(spec).native_term,
+                  lambda binet: binet.native_ladders,
+                  lambda table: table.native_binomial)
+
+
+def _numbers(seq: SequenceLike) -> _Numbers:
+    """NATIVE for a spec whose entries are all rational, SCALAR otherwise."""
+    return NATIVE if isinstance(seq, HoradamSpec) and seq.is_rational else SCALAR
+
+
 @dataclass(frozen=True)
 class CoeffPair:
     """Coefficients (h1, h2) for splitting index r+s into r and s."""
@@ -43,24 +79,35 @@ class CoeffPair:
     h2: CoeffValue
 
 
-def _split_sides(pair: CoeffPair, left: Scalar, right: Scalar, whole: Scalar):
+def _split_sides(pair: CoeffPair, left, right, whole):
     """h1*left + h2*right and whole, both lifted into the pair's quadratic
     extension when the coefficients live there.  With F(r), F(s), F(r+s)
     these are the two sides of the scalar identity; with the cells, of the
     table identity."""
-    if isinstance(pair.h1, QuadExt):
-        d = pair.h1.disc
-        return (pair.h1 * QuadExt.embed(left, d) + pair.h2 * QuadExt.embed(right, d),
-                QuadExt.embed(whole, d))
-    return pair.h1 * left + pair.h2 * right, whole
+    h1 = pair.h1
+    if isinstance(h1, (QuadExt, NativeExt)):
+        embed, d = type(h1).embed, h1.disc
+        return h1 * embed(left, d) + pair.h2 * embed(right, d), embed(whole, d)
+    return h1 * left + pair.h2 * right, whole
 
 
-def _assert_scalar_identity(fn: Callable[[int], Scalar], pair: CoeffPair) -> None:
+def _assert_scalar_identity(fn: Callable[[int], object], pair: CoeffPair) -> None:
     lhs, rhs = _split_sides(pair, fn(pair.r), fn(pair.s), fn(pair.r + pair.s))
     if lhs != rhs:
         raise ScalarIdentityError(
             f"scalar identity broken at ({pair.r},{pair.s}): "
-            f"h1*F(r) + h2*F(s) = {lhs}, F(r+s) = {rhs}")
+            f"h1*F(r) + h2*F(s) = {lift(lhs)}, F(r+s) = {lift(rhs)}")
+
+
+def _closed_form_pair(numbers: _Numbers, binet: BinetSpec, r: int, s: int) -> tuple:
+    ap, bq = numbers.ladders(binet)
+    h_r = ap[r] + bq[r]
+    h_s = ap[s] + bq[s]
+    if not h_r:
+        raise SingularCoefficientError(f"sequence term at index {r} is zero")
+    if not h_s:
+        raise SingularCoefficientError(f"sequence term at index {s} is zero")
+    return ap[r + s] / h_r, bq[r + s] / h_s
 
 
 def coeffs_binet(binet: BinetSpec, r: int, s: int) -> CoeffPair:
@@ -71,16 +118,7 @@ def coeffs_binet(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
-    ap, bq = binet.a_p_pow, binet.b_q_pow
-    h_r = ap[r] + bq[r]
-    h_s = ap[s] + bq[s]
-    if h_r.is_zero():
-        raise SingularCoefficientError(f"sequence term at index {r} is zero")
-    if h_s.is_zero():
-        raise SingularCoefficientError(f"sequence term at index {s} is zero")
-    h1 = ap[r + s] / h_r
-    h2 = bq[r + s] / h_s
-    return CoeffPair(r, s, h1, h2)
+    return CoeffPair(r, s, *_closed_form_pair(SCALAR, binet, r, s))
 
 
 def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
@@ -97,19 +135,25 @@ def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
+    return CoeffPair(r, s, *_alternating_pair(SCALAR, binet, r, s))
+
+
+def _alternating_pair(numbers: _Numbers, binet: BinetSpec, r: int, s: int) -> tuple:
     if r == s:
-        return coeffs_binet(binet, r, s)
-    pq = -binet.fundamental.t
-    u = context(binet.fundamental).term
+        return _closed_form_pair(numbers, binet, r, s)
+    fundamental = binet.fundamental
+    u = numbers.terms(fundamental)
+    pq = -numbers.value(fundamental.t)
     d = abs(r - s)
     u_d = u(d)
-    if pq.is_zero() or u_d.is_zero():
+    if not pq or not u_d:
         raise SingularCoefficientError(
             f"alternating denominator vanishes at (r, s) = ({r}, {s})")
     cross = -pq ** d
+    div = numbers.div
     if r > s:
-        return CoeffPair(r, s, u(r) / u_d, cross * u(s) / u_d)
-    return CoeffPair(r, s, cross * u(r) / u_d, u(s) / u_d)
+        return div(u(r), u_d), div(cross * u(s), u_d)
+    return div(cross * u(r), u_d), div(u(s), u_d)
 
 
 def _alternating_by_extension(binet: BinetSpec, r: int, s: int) -> CoeffPair:
@@ -131,12 +175,20 @@ def _alternating_by_extension(binet: BinetSpec, r: int, s: int) -> CoeffPair:
 class CoeffFamily:
     """A named rule (r, s) -> (h1, h2), bundled with the sequence `seq`
     whose scalar identity the rule satisfies.  The closed-form families carry
-    the Binet data of `seq`, so a repeated root shows when they are built."""
+    the Binet data of `seq`, so a repeated root shows when they are built.
+    `numbers` is the number type the rule runs on: `verify_pascal` makes a
+    NATIVE copy for its own cells, and every other family is SCALAR."""
 
     tag: str
     seq: SequenceLike
     roots: tuple[Scalar, Scalar] | None = None
     closed_form: BinetSpec | None = None
+    numbers: _Numbers = field(default=SCALAR, compare=False, repr=False)
+
+    @cached_property
+    def terms(self) -> Callable[[int], object]:
+        """The terms of `seq` on the family's number type."""
+        return self.numbers.terms(self.seq)
 
     @classmethod
     def binet(cls, spec: HoradamSpec) -> "CoeffFamily":
@@ -186,28 +238,41 @@ def _rational_roots(tag: str, spec: HoradamSpec) -> tuple[Scalar, Scalar]:
     return p.project(), q.project()
 
 
-def _gould(family: CoeffFamily, r: int, s: int) -> CoeffPair:
-    fn = sequence_fn(family.seq)
+def _gould(family: CoeffFamily, r: int, s: int) -> tuple:
+    numbers, fn = family.numbers, family.terms
     a_r, a_s, a_rs = fn(r), fn(s), fn(r + s)
-    if a_s.is_zero():
+    if not a_s:
         raise SingularCoefficientError(f"sequence term at index {s} is zero")
-    return CoeffPair(r, s, ONE, (a_rs - a_r) / a_s)
+    return numbers.one, numbers.div(a_rs - a_r, a_s)
 
 
-def _gould_symmetric(family: CoeffFamily, r: int, s: int) -> CoeffPair:
-    fn = sequence_fn(family.seq)
+def _gould_symmetric(family: CoeffFamily, r: int, s: int) -> tuple:
+    numbers, fn = family.numbers, family.terms
     a_r, a_s, a_rs = fn(r), fn(s), fn(r + s)
-    if a_r.is_zero():
+    if not a_r:
         raise SingularCoefficientError(f"sequence term at index {r} is zero")
-    return CoeffPair(r, s, (a_rs - a_s) / a_r, ONE)
+    return numbers.div(a_rs - a_s, a_r), numbers.one
+
+
+def _hu_sun(family: CoeffFamily, r: int, s: int) -> tuple:
+    value, u = family.numbers.value, family.seq
+    return value(term(u, s + 1)), value(u.t) * value(term(u, r - 1))
+
+
+def _corcino(first: int, second: int):
+    """The rule (p_first^s, p_second^r) over the family's roots."""
+    def rule(family: CoeffFamily, r: int, s: int) -> tuple:
+        value = family.numbers.value
+        return value(family.roots[first]) ** s, value(family.roots[second]) ** r
+    return rule
 
 
 class _Family(NamedTuple):
     """Registry entry: how a spec gives the family, and the family's rule
-    (family, r, s) -> pair."""
+    (family, r, s) -> (h1, h2) on the family's number type."""
 
     build: Callable[[HoradamSpec], CoeffFamily]
-    rule: Callable[[CoeffFamily, int, int], CoeffPair]
+    rule: Callable[[CoeffFamily, int, int], tuple]
 
 
 # Tag -> the family for a spec and its coefficient rule.  Root-based and
@@ -215,20 +280,18 @@ class _Family(NamedTuple):
 # weights; the others the spec.
 _FAMILIES: Dict[str, _Family] = {
     "binet": _Family(CoeffFamily.binet,
-                     lambda f, r, s: coeffs_binet(f.closed_form, r, s)),
+                     lambda f, r, s: _closed_form_pair(f.numbers, f.closed_form, r, s)),
     "alternating": _Family(CoeffFamily.alternating,
-                           lambda f, r, s: coeffs_alternating(f.closed_form, r, s)),
+                           lambda f, r, s: _alternating_pair(f.numbers, f.closed_form, r, s)),
     "corcino_a": _Family(
         lambda spec: CoeffFamily.corcino_a(*_rational_roots("corcino_a", spec)),
-        lambda f, r, s: CoeffPair(r, s, f.roots[0] ** s, f.roots[1] ** r)),
+        _corcino(0, 1)),
     "corcino_b": _Family(
         lambda spec: CoeffFamily.corcino_b(*_rational_roots("corcino_b", spec)),
-        lambda f, r, s: CoeffPair(r, s, f.roots[1] ** s, f.roots[0] ** r)),
+        _corcino(1, 0)),
     "gould": _Family(CoeffFamily.gould, _gould),
     "gould_symmetric": _Family(CoeffFamily.gould_symmetric, _gould_symmetric),
-    "hu_sun": _Family(lambda spec: CoeffFamily.hu_sun(spec.s, spec.t),
-                      lambda f, r, s: CoeffPair(r, s, term(f.seq, s + 1),
-                                                f.seq.t * term(f.seq, r - 1))),
+    "hu_sun": _Family(lambda spec: CoeffFamily.hu_sun(spec.s, spec.t), _hu_sun),
 }
 
 FAMILY_TAGS = tuple(_FAMILIES)
@@ -245,14 +308,15 @@ def resolve_family(tag: str, spec: HoradamSpec) -> CoeffFamily:
 
 
 def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
-    """Coefficient pair of a named family at (r, s), with the scalar identity
-    for the family's own sequence asserted before returning."""
+    """Coefficient pair of a named family at (r, s), on the family's number
+    type, with the scalar identity for the family's own sequence asserted
+    before returning."""
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
     if family.tag not in _FAMILIES:
         raise ValueError(f"unknown family tag {family.tag!r}")
-    pair = _FAMILIES[family.tag].rule(family, r, s)
-    _assert_scalar_identity(sequence_fn(family.seq), pair)
+    pair = CoeffPair(r, s, *_FAMILIES[family.tag].rule(family, r, s))
+    _assert_scalar_identity(family.terms, pair)
     return pair
 
 
@@ -295,7 +359,8 @@ class PascalReport:
         return [c for c in self.cells if not c.ok]
 
 
-def _check_cell(fn: Callable[[int], Scalar] | None, tbl, pair: CoeffPair) -> CellCheck:
+def _check_cell(fn: Callable[[int], object] | None,
+                cell: Callable[[int, int], object], pair: CoeffPair) -> CellCheck:
     """Table identity at the pair's cell, and the scalar identity over `fn`
     unless `fn` is None because it is already known to hold."""
     r, s = pair.r, pair.s
@@ -305,37 +370,43 @@ def _check_cell(fn: Callable[[int], Scalar] | None, tbl, pair: CoeffPair) -> Cel
         scalar_ok = lhs == rhs
         if not scalar_ok:
             witness = lhs, rhs
-    lhs, rhs = _split_sides(pair, tbl.binomial(r + s - 1, r - 1),
-                            tbl.binomial(r + s - 1, r), tbl.binomial(r + s, r))
+    lhs, rhs = _split_sides(pair, cell(r + s - 1, r - 1), cell(r + s - 1, r),
+                            cell(r + s, r))
     table_ok = lhs == rhs
     if scalar_ok and not table_ok:
         witness = lhs, rhs
-    return CellCheck(r, s, scalar_ok, table_ok, *witness)
+    return CellCheck(r, s, scalar_ok, table_ok, lift(witness[0]), lift(witness[1]))
 
 
 def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport:
     """Check scalar and table identities for every cell r, s >= 1 with
-    r + s <= max_n.  `rule` is a named family or a bare (r, s) -> pair map."""
+    r + s <= max_n.  `rule` is a named family or a bare (r, s) -> pair map.
+    The table of a rational spec is checked on native values, and so are the
+    pairs of a family whose own sequence is rational too."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    fn = sequence_fn(seq)
+    numbers = _numbers(seq)
+    fn = numbers.terms(seq)
     if isinstance(rule, CoeffFamily):
         tag = rule.tag
-        pairs = lambda r, s: family_coeffs(rule, r, s)
+        family = rule
+        if numbers is NATIVE and _numbers(rule.seq) is NATIVE:
+            family = replace(rule, numbers=NATIVE)
+        pairs = lambda r, s: family_coeffs(family, r, s)
         if seq == rule.seq:
             fn = None  # family_coeffs raises on any break of the scalar identity
     else:
         tag = getattr(rule, "__name__", "custom")
         pairs = rule
-    tbl = table_for(seq)
+    cell = numbers.cells(table_for(seq))
     report = PascalReport(tag, max_n)
     for total in range(2, max_n + 1):
         for r in range(1, total):
             pair = pairs(r, total - r)
-            if isinstance(pair.h1, QuadExt) and not (
-                    pair.h1.beta.is_zero() and pair.h2.beta.is_zero()):
+            h1 = pair.h1
+            if isinstance(h1, (QuadExt, NativeExt)) and (h1.beta or pair.h2.beta):
                 report.uses_extension = True
-            report.cells.append(_check_cell(fn, tbl, pair))
+            report.cells.append(_check_cell(fn, cell, pair))
     return report
 
 
@@ -364,18 +435,19 @@ class VWeightedReport:
 
 
 def vweighted_verify(spec: HoradamSpec, max_n: int) -> VWeightedReport:
-    """Check the companion-weighted recurrence for the (s, t) drawn from `spec`."""
+    """Check the companion-weighted recurrence for the (s, t) drawn from `spec`,
+    on native values when s and t are rational."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    u_spec = preset("u", s=spec.s, t=spec.t)
-    v_spec = preset("v", s=spec.s, t=spec.t)
-    tbl = table_for(u_spec)
+    u_ctx, v_ctx = context(spec).companions
+    numbers = _numbers(u_ctx.spec)
+    cell = numbers.cells(table_for(u_ctx.spec))
+    v = numbers.terms(v_ctx.spec)
     report = VWeightedReport(spec.s, spec.t, max_n)
     for total in range(2, max_n + 1):
         for r in range(1, total):
             s = total - r
-            lhs = 2 * tbl.binomial(total, r)
-            rhs = (term(v_spec, s) * tbl.binomial(total - 1, r - 1)
-                   + term(v_spec, r) * tbl.binomial(total - 1, r))
-            report.cells.append(VWeightedCell(r, s, lhs == rhs, lhs, rhs))
+            lhs = 2 * cell(total, r)
+            rhs = v(s) * cell(total - 1, r - 1) + v(r) * cell(total - 1, r)
+            report.cells.append(VWeightedCell(r, s, lhs == rhs, lift(lhs), lift(rhs)))
     return report

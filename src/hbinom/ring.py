@@ -10,6 +10,12 @@ A :class:`QuadExt` is an element ``alpha + beta*sqrt(disc)`` of the quadratic
 extension of that field by a fixed discriminant.  The discriminant is carried
 verbatim (never reduced to a square-free part) and elements over different
 discriminants refuse to combine.
+
+Checks on a sequence whose entries are all rational run on native values
+instead: a plain ``int`` when the value is integral, a ``Fraction`` otherwise,
+and a :class:`NativeExt` pair of them in place of a ``QuadExt``.  ``ndiv`` is
+their division (``int / int`` would give a float), and ``lift`` turns them
+back into the ``Scalar`` or ``QuadExt`` they stand for.
 """
 
 from __future__ import annotations
@@ -697,6 +703,9 @@ class QuadExt:
     def is_zero(self) -> bool:
         return self.alpha.is_zero() and self.beta.is_zero()
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def project(self) -> Scalar:
         """Base-field value of an element whose sqrt part cancelled."""
         if not self.beta.is_zero():
@@ -706,3 +715,110 @@ class QuadExt:
 
     def __str__(self) -> str:
         return f"{self.alpha} + ({self.beta})*sqrt({self.disc})"
+
+
+# ---------------------------------------------------------------------------
+# native values
+
+Native = Union[int, Fraction]
+
+
+def native(value) -> Native:
+    """A rational Scalar, an int or a Fraction as an int when integral and a
+    Fraction otherwise."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Scalar):
+        value = value.as_fraction()
+    return value.numerator if value.denominator == 1 else value
+
+
+def ndiv(a: Native, b: Native) -> Native:
+    """Exact quotient of two native values, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return native(a / b)
+
+
+class NativeExt:
+    """(a + b*sqrt(disc)) / den with native a, b, den and disc: a QuadExt
+    value kept over one denominator, so that sums, products and quotients
+    take a few int operations and no gcd.  `alpha` and `beta` reduce it."""
+
+    __slots__ = ("a", "b", "den", "disc")
+
+    def __init__(self, a: Native, b: Native, den: Native, disc: Native):
+        self.a, self.b, self.den, self.disc = a, b, den, disc
+
+    @classmethod
+    def of(cls, value: QuadExt) -> "NativeExt":
+        alpha, beta = value.alpha.as_fraction(), value.beta.as_fraction()
+        den = math.lcm(alpha.denominator, beta.denominator)
+        return cls(int(alpha * den), int(beta * den), den, native(value.disc))
+
+    @classmethod
+    def embed(cls, value: Native, disc: Native) -> "NativeExt":
+        if type(value) is int:
+            return cls(value, 0, 1, disc)
+        return cls(value.numerator, 0, value.denominator, disc)
+
+    @property
+    def alpha(self) -> Native:
+        return ndiv(self.a, self.den)
+
+    @property
+    def beta(self) -> Native:
+        return ndiv(self.b, self.den)
+
+    def __add__(self, other: "NativeExt") -> "NativeExt":
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return NativeExt(self.a + other.a, self.b + other.b, d1, self.disc)
+        return NativeExt(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1,
+                         d1 * d2, self.disc)
+
+    def __mul__(self, other: "NativeExt") -> "NativeExt":
+        a, b, c, d = self.a, self.b, other.a, other.b
+        den = self.den * other.den
+        if not b:
+            return NativeExt(a * c, a * d, den, self.disc)
+        if not d:
+            return NativeExt(a * c, b * c, den, self.disc)
+        return NativeExt(a * c + self.disc * b * d, a * d + b * c, den, self.disc)
+
+    def __truediv__(self, other: "NativeExt") -> "NativeExt":
+        a, b, c, d = self.a, self.b, other.a, other.b
+        if d:
+            # times the conjugate c - d*sqrt(disc), over the norm
+            n = c * c - self.disc * d * d
+            a, b = a * c - self.disc * b * d, b * c - a * d
+        else:
+            n = c
+        if not n:
+            raise ZeroDivisionError(f"zero-norm extension element: {lift(other)}")
+        return NativeExt(a * other.den, b * other.den, self.den * n, self.disc)
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not NativeExt:
+            return NotImplemented
+        return (self.a * other.den == other.a * self.den
+                and self.b * other.den == other.b * self.den
+                and self.disc == other.disc)
+
+    __hash__ = None
+
+
+def lift(value):
+    """The Scalar or QuadExt a native value or NativeExt stands for; any other
+    value is returned as it is."""
+    if type(value) is int:
+        return _from_int(value)
+    if type(value) is Fraction:
+        return _from_fraction(value)
+    if type(value) is NativeExt:
+        return QuadExt(lift(value.alpha), lift(value.beta), lift(value.disc))
+    return value

@@ -4,6 +4,12 @@ A sequence is pinned down by four scalars: initial values a, b and recurrence
 weights s, t, with H(0) = a, H(1) = b and H(n+2) = s*H(n+1) + t*H(n).  Terms
 may be rationals, polynomials, or rational functions; everything downstream
 (closed forms, generating functions, addition identities) stays exact.
+
+Terms and the closed form are `Scalar` and `QuadExt` values.  A spec whose
+four entries are all rational also has its terms and root-power ladders as
+native values (`int`/`Fraction`, `NativeExt`), which the addition identities
+here and the Pascal checks in `recurrences` run on; either route gives the
+same exact values.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .ring import ONE, ZERO, QuadExt, Scalar, ScalarLike, X
+from .ring import (ONE, ZERO, Native, NativeExt, QuadExt, Scalar, ScalarLike, X,
+                   lift, native)
 
 
 class DegenerateRootsError(ValueError):
@@ -42,9 +49,19 @@ class HoradamSpec:
             object.__setattr__(self, "_hash", h)
         return h
 
+    @property
+    def is_rational(self) -> bool:
+        """True when a, b, s and t are all rational; the checks of such a
+        spec run on native values."""
+        return all(x.is_rational for x in (self.a, self.b, self.s, self.t))
+
     def discriminant(self) -> Scalar:
-        """s^2 + 4t, the discriminant of z^2 = s*z + t."""
-        return self.s * self.s + 4 * self.t
+        """s^2 + 4t, the discriminant of z^2 = s*z + t (worked out once)."""
+        d = self.__dict__.get("_disc")
+        if d is None:
+            d = self.s * self.s + 4 * self.t
+            object.__setattr__(self, "_disc", d)
+        return d
 
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json(),
@@ -65,6 +82,7 @@ class SeqContext:
     def __init__(self, spec: HoradamSpec):
         self.spec = spec
         self._values = [spec.a, spec.b]
+        self._natives: list[Native] | None = None
         self.binet: BinetSpec | None = None
         self.table = None
 
@@ -77,6 +95,27 @@ class SeqContext:
         while len(vals) <= n:
             vals.append(s * vals[-1] + t * vals[-2])
         return vals[n]
+
+    def native_term(self, n: int) -> Native:
+        """n-th term by the recurrence, as an int or Fraction; the spec must
+        be rational."""
+        if n < 0:
+            raise ValueError("term index must be nonnegative")
+        vals = self._natives
+        if vals is None:
+            spec = self.spec
+            vals = self._natives = [native(spec.a), native(spec.b)]
+        if len(vals) <= n:
+            s, t = native(self.spec.s), native(self.spec.t)
+            while len(vals) <= n:
+                vals.append(native(s * vals[-1] + t * vals[-2]))
+        return vals[n]
+
+    @cached_property
+    def companions(self) -> tuple["SeqContext", "SeqContext"]:
+        """The contexts of U(s, t) and V(s, t) for this spec's weights."""
+        s, t = self.spec.s, self.spec.t
+        return context(preset("u", s=s, t=t)), context(preset("v", s=s, t=t))
 
 
 # One suite run touches 20 distinct specs over the default config and 23-25
@@ -167,6 +206,12 @@ class BinetSpec:
         return self.p.disc
 
     @cached_property
+    def native_ladders(self) -> tuple[Ladder, Ladder]:
+        """The ladders A*p^k and B*q^k on NativeExt values, for rational data."""
+        big_a, big_b, p, q = map(NativeExt.of, (self.A, self.B, self.p, self.q))
+        return Ladder(big_a, p), Ladder(big_b, q)
+
+    @cached_property
     def fundamental(self) -> HoradamSpec:
         """U(p+q, -pq), whose terms are (p^n - q^n)/(p - q); an irrational
         root sum or product raises IrrationalResidueError."""
@@ -221,9 +266,8 @@ def ogf(spec: HoradamSpec) -> Scalar:
     Only defined for specs with rational entries: the series indeterminate
     must be fresh, so polynomial specs are rejected.
     """
-    for name in ("a", "b", "s", "t"):
-        if not getattr(spec, name).is_rational:
-            raise ValueError("generating function needs rational spec entries")
+    if not spec.is_rational:
+        raise ValueError("generating function needs rational spec entries")
     a, b = spec.a.as_fraction(), spec.b.as_fraction()
     s, t = spec.s.as_fraction(), spec.t.as_fraction()
     num = Scalar.poly([a, b - a * s])
@@ -305,16 +349,22 @@ class AdditionReport:
 
 
 def addition_check(spec: HoradamSpec, r: int, s: int) -> AdditionReport:
+    """The identities on native values when s and t are rational, on Scalar
+    values otherwise; the report holds Scalar values either way."""
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
-    u = context(preset("u", s=spec.s, t=spec.t)).term
-    v = context(preset("v", s=spec.s, t=spec.t)).term
-    d = spec.discriminant()
+    u_ctx, v_ctx = context(spec).companions
+    d = disc = spec.discriminant()
+    if u_ctx.spec.is_rational:
+        u, v, d = u_ctx.native_term, v_ctx.native_term, native(disc)
+    else:
+        u, v = u_ctx.term, v_ctx.term
     u_ok = 2 * u(r + s) == u(r) * v(s) + u(s) * v(r)
     v_corrected_ok = 2 * v(r + s) == v(r) * v(s) + d * u(r) * u(s)
     lhs = 2 * v(r + s)
     rhs = v(r) * v(s) + u(s) * u(r)
-    return AdditionReport(r, s, d, u_ok, v_corrected_ok, lhs == rhs, lhs, rhs)
+    return AdditionReport(r, s, disc, u_ok, v_corrected_ok, lhs == rhs,
+                          lift(lhs), lift(rhs))
 
 
 _PRESET_NAMES = ("u", "v", "fibonacci", "pell", "lucas_numbers",

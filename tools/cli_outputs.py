@@ -1,0 +1,58 @@
+"""Digests of CLI outputs that must be the same bytes on every Python version.
+
+Standard library only, so it runs where pytest is not installed:
+
+    PYTHONPATH=src python tools/cli_outputs.py > digests.json
+
+prints, for each case, the exit code, the sha256 of stdout (a JSON report
+without its `generated_at`) and stderr, as sorted JSON.  Two versions agree
+when their files are byte-identical.  The cases mix int and Fraction values
+(rational specs with integral and non-integral entries), polynomial cells
+and the default suite.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+from hbinom.cli import VERIFY_FAMILIES, main
+
+FRACTIONAL = json.dumps({"a": "1/2", "b": "-3", "s": "3/7", "t": "-5/11"})
+SPECS = {
+    "fibonacci": ("--preset", "fibonacci"),
+    "split": ("--preset", "u", "--s", "3", "--t", "-2"),
+    "fractional": ("--spec", FRACTIONAL),
+}
+
+CASES = {
+    "suite_default_text": ("suite",),
+    "suite_default_json": ("suite", "--format", "json"),
+    "triangle_lucas_numbers": ("triangle", "--preset", "lucas_numbers", "--max-n", "40",
+                               "--format", "csv"),
+    "triangle_fractional": ("triangle", "--spec", FRACTIONAL, "--max-n", "12"),
+    "triangle_cigler_qfib": ("triangle", "--preset", "cigler_qfib", "--max-n", "10"),
+    **{f"verify_{family}_{name}": ("verify", *args, "--family", family, "--max-n", "10",
+                                   "--format", "json")
+       for name, args in SPECS.items() for family in VERIFY_FAMILIES},
+}
+
+
+def run(argv) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    text = out.getvalue()
+    if text and "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        doc = json.loads(text)
+        doc.pop("generated_at")
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    return [code, hashlib.sha256(text.encode()).hexdigest(), err.getvalue()]
+
+
+if __name__ == "__main__":
+    digests = {name: run(argv) for name, argv in CASES.items()}
+    sys.stdout.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")
