@@ -809,8 +809,6 @@ class NativeExt:
                 and self.b * other.den == other.b * self.den
                 and self.disc == other.disc)
 
-    __hash__ = None
-
 
 def lift(value):
     """The Scalar or QuadExt a native value or NativeExt stands for; any other
