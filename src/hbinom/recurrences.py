@@ -7,8 +7,9 @@ This module builds the classical coefficient families, checks the scalar
 identity on construction, and verifies the cell identity over whole tables.
 h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
 
-Each family's rule is written once, over + - * ** and truth tests, with its
-divisions through the number type's `div`.  A table whose spec has rational
+Each family's rule is written once, over + - * ** and truth tests, with
+rational divisions through the number type's `div` (`int / int` would give a
+float; extension values divide with `/`).  A table whose spec has rational
 entries is checked on native values: `int`/`Fraction` terms and cells, and
 `NativeExt` pairs for the closed-form families.  Any other table runs the
 same rules on `Scalar` and `QuadExt`.  Values leave the module as `Scalar`
