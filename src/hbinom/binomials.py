@@ -11,18 +11,23 @@ term per cell, with no factorial bigints.  The factorial ratio stays the
 reference route: single cells and the Pascal-family checks read it, never the
 rows.
 
-Cells are `Scalar` values.  For a spec whose entries are all rational the
-table also gives the factorial-ratio cells as native `int`/`Fraction` values
-(`native_binomial`), which the Pascal-family checks run on.
+A table holds its terms, factorials, cells and rows once, in the number type
+of its spec's context: `int`/`Fraction` values for a spec whose entries are
+all rational, `Scalar` values for any other spec and for a plain callable.
+The readers `factorial`, `binomial`, `row` and `multinomial` give `Scalar`
+values either way; the Pascal-family checks read the held cells
+(`own_binomial`).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Union
 
 from . import oracles
-from .ring import ONE, ZERO, Native, Scalar, ScalarLike, native, ndiv
+from .ring import ONE, ZERO, Scalar, ScalarLike, lift, ndiv
 from .sequences import HoradamSpec, context, preset
 
 SequenceLike = Union[HoradamSpec, Callable[[int], ScalarLike]]
@@ -46,38 +51,45 @@ def sequence_fn(seq: SequenceLike) -> Callable[[int], Scalar]:
 
 
 class BinomialTable:
-    """Memoized factorials, binomial/multinomial cells and rows for one sequence."""
+    """Memoized factorials, binomial cells and rows for one sequence, in the
+    sequence's own number type; the `own_` readers give the held values.
+    A spec's terms are read from its context, a plain callable's are
+    memoized here."""
 
     def __init__(self, source: SequenceLike):
         self.source = source
-        self._fn = sequence_fn(source)
-        self._terms: list[Scalar] = [ONE]   # F(1), F(2), ... from index 1
-        self._fact = [ONE]
-        self._cells: Dict[tuple[int, int], Scalar] = {}
-        self._rows: list[tuple[Scalar, ...]] = [(ONE,)]
-        self._native_fact: list[Native] = [1]
-        self._native_cells: Dict[tuple[int, int], Native] = {}
+        if isinstance(source, HoradamSpec):
+            ctx = context(source)
+            self._fn, self._own = ctx.own_term, ctx.own
+        else:
+            self._fn, self._own = functools.cache(sequence_fn(source)), Scalar.coerce
+        self._nonzero = 0   # F(1..nonzero) are known to be nonzero
+        one = self._own(ONE)
+        self._fact = [one]
+        self._cells: Dict[tuple[int, int], object] = {}
+        self._rows = [(one,)]
 
-    def _term(self, i: int) -> Scalar:
+    def _term(self, i: int):
         """F(i) for i >= 1; the first zero among F(1..i) raises ZeroTermError."""
-        terms = self._terms
-        while len(terms) <= i:
-            j = len(terms)
-            f_j = self._fn(j)
-            if f_j.is_zero():
+        while self._nonzero < i:
+            j = self._nonzero + 1
+            if not self._fn(j):
                 raise ZeroTermError(j)
-            terms.append(f_j)
-        return terms[i]
+            self._nonzero = j
+        return self._fn(i)
 
-    def factorial(self, n: int) -> Scalar:
+    def own_factorial(self, n: int):
         if n < 0:
             raise ValueError("factorial index must be nonnegative")
         fact = self._fact
         while len(fact) <= n:
-            fact.append(fact[-1] * self._term(len(fact)))
+            fact.append(self._own(fact[-1] * self._term(len(fact))))
         return fact[n]
 
-    def row(self, n: int) -> tuple[Scalar, ...]:
+    def factorial(self, n: int) -> Scalar:
+        return lift(self.own_factorial(n))
+
+    def own_row(self, n: int) -> tuple:
         """Cells C(n,0..n), each row built from the one above by
         C(n,k) = C(n-1,k-1) * F(n) / F(k); C(n,k) = C(n,n-k), so each mirrored
         pair is computed once.  Needs F(1..n) nonzero, like factorial(n)."""
@@ -87,54 +99,35 @@ class BinomialTable:
         while len(rows) <= n:
             m = len(rows)
             prev = rows[-1]
-            f_m = self._term(m)
-            terms = self._terms
-            rows.append(mirror([ONE] + [prev[k - 1] * f_m / terms[k]
-                                        for k in range(1, m // 2 + 1)], m))
+            f_m, fn = self._term(m), self._fn
+            # C(m,0) = C(m-1,0) = 1
+            rows.append(mirror([prev[0]] + [ndiv(prev[k - 1] * f_m, fn(k))
+                                            for k in range(1, m // 2 + 1)], m))
         return rows[n]
 
-    def binomial(self, n: int, k: int) -> Scalar:
+    def row(self, n: int) -> tuple[Scalar, ...]:
+        return tuple(map(lift, self.own_row(n)))
+
+    def own_binomial(self, n: int, k: int):
+        """C(n,k) by the factorial ratio."""
         if k < 0 or k > n:
-            return ZERO
+            return self._own(ZERO)
         key = (n, k)
         value = self._cells.get(key)
         if value is None:
-            value = self.factorial(n) / (self.factorial(k) * self.factorial(n - k))
-            self._cells[key] = value
+            fact = self.own_factorial
+            value = self._cells[key] = ndiv(fact(n), fact(k) * fact(n - k))
         return value
 
-    def _native_factorial(self, n: int) -> Native:
-        fact = self._native_fact
-        if len(fact) <= n:
-            term = context(self.source).native_term
-            while len(fact) <= n:
-                f_j = term(len(fact))
-                if not f_j:
-                    raise ZeroTermError(len(fact))
-                fact.append(native(fact[-1] * f_j))
-        return fact[n]
-
-    def native_binomial(self, n: int, k: int) -> Native:
-        """binomial(n, k) as an int or Fraction, by the same factorial ratio;
-        the table's source must be a rational spec."""
-        if k < 0 or k > n:
-            return 0
-        key = (n, k)
-        value = self._native_cells.get(key)
-        if value is None:
-            fact = self._native_factorial
-            value = self._native_cells[key] = ndiv(fact(n), fact(k) * fact(n - k))
-        return value
+    def binomial(self, n: int, k: int) -> Scalar:
+        return lift(self.own_binomial(n, k))
 
     def multinomial(self, parts: Iterable[int]) -> Scalar:
         parts = tuple(parts)
         if any(p < 0 for p in parts):
             return ZERO
-        n = sum(parts)
-        denom = ONE
-        for p in parts:
-            denom = denom * self.factorial(p)
-        return self.factorial(n) / denom
+        fact = self.own_factorial
+        return lift(ndiv(fact(sum(parts)), math.prod(fact(p) for p in parts)))
 
 
 def mirror(half: list, n: int) -> tuple:

@@ -27,7 +27,7 @@ from .recurrences import (FAMILY_TAGS, FamilyRequirementError,
                           ScalarIdentityError, SingularCoefficientError,
                           resolve_family, verify_pascal, vweighted_verify)
 from .report import ENGINE_VERSION, Report
-from .ring import Scalar
+from .ring import Scalar, exact_rational, lift
 from .sequences import (DegenerateRootsError, HoradamSpec, addition_check,
                         preset, series_verify, term)
 
@@ -44,10 +44,11 @@ class ConfigError(Exception):
 # argument plumbing
 
 
-def _scalar_from_text(text: str) -> Scalar:
+def _scalar_from_text(text) -> Scalar:
+    """A rational weight: a string, or an int in a suite config."""
     try:
-        return Scalar(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Scalar(exact_rational(text))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a rational value: {text!r}") from exc
 
 
@@ -181,8 +182,8 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
                   max_n: int, cache_path: str | None) -> list[dict]:
     """Triangle cells in lexicographic (n, k) order, consulting and updating
     the JSONL cache when a path is given.  Cached values are reused verbatim.
-    Binomial rows come from `BinomialTable.row`, and each mirrored pair
-    C(n,k) = C(n,n-k) is rendered once."""
+    Binomial rows come from `BinomialTable.own_row`, and each mirrored pair
+    C(n,k) = C(n,n-k) is lifted and rendered once."""
     digest = triangle_digest(spec, kind, parts)
     cache = load_cache(cache_path) if cache_path else {}
     tbl = table_for(spec)
@@ -196,8 +197,8 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
             if value_json is None:
                 if kind == "binomial":
                     if rendered is None:
-                        half = tbl.row(n)[:n // 2 + 1]
-                        rendered = mirror([v.to_json() for v in half], n)
+                        half = tbl.own_row(n)[:n // 2 + 1]
+                        rendered = mirror([lift(v).to_json() for v in half], n)
                     value_json = rendered[k]
                 else:
                     rest = n - k - sum(parts)

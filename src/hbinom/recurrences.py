@@ -8,9 +8,10 @@ identity on construction, and verifies the cell identity over whole tables.
 h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
 
 Each family's rule is written once, over + - * ** and truth tests, with
-rational divisions through the number type's `div` (`int / int` would give a
-float; extension values divide with `/`).  A table whose spec has rational
-entries is checked on native values: `int`/`Fraction` terms and cells, and
+rational divisions through `ring.ndiv` (`int / int` would give a float;
+extension values divide with `/`).  The checks read the terms and cells that
+the spec's context holds, in the spec's own number type: a table whose spec
+has rational entries is checked on `int`/`Fraction` terms and cells, and on
 `NativeExt` pairs for the closed-form families.  Any other table runs the
 same rules on `Scalar` and `QuadExt`.  Values leave the module as `Scalar`
 and `QuadExt` on both routes: the pairs of `family_coeffs`, `coeffs_binet`
@@ -19,15 +20,13 @@ and `coeffs_alternating`, and the sides in cell records and error messages.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, NamedTuple, Union
 
-from .binomials import BinomialTable, SequenceLike, sequence_fn, table_for
+from .binomials import SequenceLike, sequence_fn, table_for
 from .ring import ONE, NativeExt, QuadExt, Scalar, ScalarLike, lift, native, ndiv
-from .sequences import (BinetSpec, HoradamSpec, char_roots, context, preset, term,
-                        to_binet)
+from .sequences import BinetSpec, HoradamSpec, char_roots, context, preset, to_binet
 
 CoeffValue = Union[Scalar, QuadExt]
 
@@ -45,29 +44,26 @@ class FamilyRequirementError(ValueError):
 
 
 class _Numbers(NamedTuple):
-    """A number type the rules run on: how a Scalar reads in it, how it
-    divides, its one, and how it reads a sequence's terms, a closed form's
-    ladders A*p^k and B*q^k, and a table's factorial-ratio cells."""
+    """A number type the rules run on: how a Scalar reads in it, its one,
+    and how it reads a sequence's terms and a closed form's ladders A*p^k
+    and B*q^k."""
 
     value: Callable[[Scalar], object]
-    div: Callable[[object, object], object]
     one: object
     terms: Callable[[SequenceLike], Callable[[int], object]]
     ladders: Callable[[BinetSpec], tuple]
-    cells: Callable[[BinomialTable], Callable[[int, int], object]]
 
 
-SCALAR = _Numbers(lambda x: x, operator.truediv, ONE, sequence_fn,
-                  lambda binet: (binet.a_p_pow, binet.b_q_pow),
-                  lambda table: table.binomial)
-NATIVE = _Numbers(native, ndiv, 1, lambda spec: context(spec).native_term,
-                  lambda binet: binet.native_ladders,
-                  lambda table: table.native_binomial)
+SCALAR = _Numbers(lambda x: x, ONE, sequence_fn,
+                  lambda binet: (binet.a_p_pow, binet.b_q_pow))
+NATIVE = _Numbers(native, 1, lambda spec: context(spec).own_term,
+                  lambda binet: binet.native_ladders)
 
 
 def _numbers(seq: SequenceLike) -> _Numbers:
-    """NATIVE for a spec whose entries are all rational, SCALAR otherwise."""
-    return NATIVE if isinstance(seq, HoradamSpec) and seq.is_rational else SCALAR
+    """NATIVE for a spec whose context holds native values (its entries are
+    all rational), SCALAR otherwise: the type of the table's cells."""
+    return NATIVE if isinstance(seq, HoradamSpec) and context(seq).own is native else SCALAR
 
 
 @dataclass(frozen=True)
@@ -151,10 +147,9 @@ def _alternating_pair(numbers: _Numbers, binet: BinetSpec, r: int, s: int) -> tu
         raise SingularCoefficientError(
             f"alternating denominator vanishes at (r, s) = ({r}, {s})")
     cross = -pq ** d
-    div = numbers.div
     if r > s:
-        return div(u(r), u_d), div(cross * u(s), u_d)
-    return div(cross * u(r), u_d), div(u(s), u_d)
+        return ndiv(u(r), u_d), ndiv(cross * u(s), u_d)
+    return ndiv(cross * u(r), u_d), ndiv(u(s), u_d)
 
 
 def _alternating_by_extension(binet: BinetSpec, r: int, s: int) -> CoeffPair:
@@ -240,24 +235,24 @@ def _rational_roots(tag: str, spec: HoradamSpec) -> tuple[Scalar, Scalar]:
 
 
 def _gould(family: CoeffFamily, r: int, s: int) -> tuple:
-    numbers, fn = family.numbers, family.terms
+    fn = family.terms
     a_r, a_s, a_rs = fn(r), fn(s), fn(r + s)
     if not a_s:
         raise SingularCoefficientError(f"sequence term at index {s} is zero")
-    return numbers.one, numbers.div(a_rs - a_r, a_s)
+    return family.numbers.one, ndiv(a_rs - a_r, a_s)
 
 
 def _gould_symmetric(family: CoeffFamily, r: int, s: int) -> tuple:
-    numbers, fn = family.numbers, family.terms
+    fn = family.terms
     a_r, a_s, a_rs = fn(r), fn(s), fn(r + s)
     if not a_r:
         raise SingularCoefficientError(f"sequence term at index {r} is zero")
-    return numbers.div(a_rs - a_s, a_r), numbers.one
+    return ndiv(a_rs - a_s, a_r), family.numbers.one
 
 
 def _hu_sun(family: CoeffFamily, r: int, s: int) -> tuple:
-    value, u = family.numbers.value, family.seq
-    return value(term(u, s + 1)), value(u.t) * value(term(u, r - 1))
+    u = family.terms
+    return u(s + 1), family.numbers.value(family.seq.t) * u(r - 1)
 
 
 def _corcino(first: int, second: int):
@@ -399,7 +394,7 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
     else:
         tag = getattr(rule, "__name__", "custom")
         pairs = rule
-    cell = numbers.cells(table_for(seq))
+    cell = table_for(seq).own_binomial
     report = PascalReport(tag, max_n)
     for total in range(2, max_n + 1):
         for r in range(1, total):
@@ -441,9 +436,8 @@ def vweighted_verify(spec: HoradamSpec, max_n: int) -> VWeightedReport:
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     u_ctx, v_ctx = context(spec).companions
-    numbers = _numbers(u_ctx.spec)
-    cell = numbers.cells(table_for(u_ctx.spec))
-    v = numbers.terms(v_ctx.spec)
+    cell = table_for(u_ctx.spec).own_binomial
+    v = v_ctx.own_term
     report = VWeightedReport(spec.s, spec.t, max_n)
     for total in range(2, max_n + 1):
         for r in range(1, total):

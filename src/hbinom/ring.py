@@ -11,11 +11,12 @@ extension of that field by a fixed discriminant.  The discriminant is carried
 verbatim (never reduced to a square-free part) and elements over different
 discriminants refuse to combine.
 
-Checks on a sequence whose entries are all rational run on native values
-instead: a plain ``int`` when the value is integral, a ``Fraction`` otherwise,
-and a :class:`NativeExt` pair of them in place of a ``QuadExt``.  ``ndiv`` is
-their division (``int / int`` would give a float), and ``lift`` turns them
-back into the ``Scalar`` or ``QuadExt`` they stand for.
+A sequence whose entries are all rational is held and checked on native
+values instead: a plain ``int`` when the value is integral, a ``Fraction``
+otherwise, and a :class:`NativeExt` pair of them in place of a ``QuadExt``.
+``ndiv`` divides every one of these number types (``int / int`` would give a
+float), and ``lift`` turns native values back into the ``Scalar`` or
+``QuadExt`` they stand for.
 """
 
 from __future__ import annotations
@@ -528,18 +529,33 @@ class Scalar:
 
     @classmethod
     def from_json(cls, obj) -> "Scalar":
-        if isinstance(obj, bool):
-            raise TypeError("booleans are not scalar values")
-        if isinstance(obj, int):
-            return cls(obj)
-        if isinstance(obj, str):
-            return cls(Fraction(obj))
-        if isinstance(obj, (list, tuple)):
-            return cls.poly([Fraction(c) for c in obj])
-        if isinstance(obj, dict) and set(obj) == {"num", "den"}:
-            return cls.from_ratio([Fraction(c) for c in obj["num"]],
-                                  [Fraction(c) for c in obj["den"]])
-        raise TypeError(f"cannot parse scalar from {obj!r}")
+        """Inverse of to_json.  Each coefficient is read by `exact_rational`;
+        a zero denominator raises ValueError."""
+        try:
+            if isinstance(obj, dict):
+                if set(obj) != {"num", "den"}:
+                    raise TypeError(f"cannot parse scalar from {obj!r}")
+                return cls.from_ratio(_exact_list(obj["num"]), _exact_list(obj["den"]))
+            if isinstance(obj, (list, tuple)):
+                return cls.poly(_exact_list(obj))
+            return cls(exact_rational(obj))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {obj!r}") from exc
+
+
+def exact_rational(value) -> Fraction:
+    """A rational as JSON or the command line gives it: an int, or a string
+    such as "-3/7".  Floats and booleans are refused, since they are not
+    exact; a zero denominator raises ZeroDivisionError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an exact value: {value!r} (give an integer or a string)")
+    return Fraction(value)
+
+
+def _exact_list(coeffs) -> list[Fraction]:
+    if not isinstance(coeffs, (list, tuple)):
+        raise TypeError(f"coefficients must be a list, not {coeffs!r}")
+    return [exact_rational(c) for c in coeffs]
 
 
 def _power(base, exponent: int, one):
@@ -733,12 +749,14 @@ def native(value) -> Native:
     return value.numerator if value.denominator == 1 else value
 
 
-def ndiv(a: Native, b: Native) -> Native:
-    """Exact quotient of two native values, never a float."""
+def ndiv(a, b):
+    """Exact quotient a / b, never a float: native values give a native
+    value, and Scalar, QuadExt and NativeExt values divide with /."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    return native(a / b)
+    q = a / b
+    return native(q) if type(q) is Fraction else q
 
 
 class NativeExt:

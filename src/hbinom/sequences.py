@@ -5,11 +5,12 @@ weights s, t, with H(0) = a, H(1) = b and H(n+2) = s*H(n+1) + t*H(n).  Terms
 may be rationals, polynomials, or rational functions; everything downstream
 (closed forms, generating functions, addition identities) stays exact.
 
-Terms and the closed form are `Scalar` and `QuadExt` values.  A spec whose
-four entries are all rational also has its terms and root-power ladders as
-native values (`int`/`Fraction`, `NativeExt`), which the addition identities
-here and the Pascal checks in `recurrences` run on; either route gives the
-same exact values.
+Each spec's terms are held once, in the spec's own number type: `int` and
+`Fraction` values when its four entries are all rational, `Scalar` values
+otherwise.  Readers outside the memo get `Scalar` terms either way; the
+addition identities here and the Pascal checks in `recurrences` run on the
+held values.  The closed form is `QuadExt` values, and for a rational spec
+also has its root-power ladders as `NativeExt` values.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .ring import (ONE, ZERO, Native, NativeExt, QuadExt, Scalar, ScalarLike, X,
-                   lift, native)
+from .ring import (ONE, ZERO, NativeExt, QuadExt, Scalar, ScalarLike, X, lift,
+                   native)
 
 
 class DegenerateRootsError(ValueError):
@@ -51,8 +52,8 @@ class HoradamSpec:
 
     @property
     def is_rational(self) -> bool:
-        """True when a, b, s and t are all rational; the checks of such a
-        spec run on native values."""
+        """True when a, b, s and t are all rational; such a spec is held and
+        checked on native values."""
         return all(x.is_rational for x in (self.a, self.b, self.s, self.t))
 
     def discriminant(self) -> Scalar:
@@ -77,39 +78,32 @@ class HoradamSpec:
 class SeqContext:
     """Everything memoized for one spec: its terms, its closed form with the
     root-power ladders (set by `to_binet`), and its binomial table (set by
-    `binomials.table_for`)."""
+    `binomials.table_for`).  Terms and table hold values of the spec's own
+    number type, fixed here: `own` reads a Scalar as an int or Fraction for
+    a rational spec, and as itself otherwise."""
 
     def __init__(self, spec: HoradamSpec):
         self.spec = spec
-        self._values = [spec.a, spec.b]
-        self._natives: list[Native] | None = None
+        self.own = native if spec.is_rational else Scalar.coerce
+        self._values = [self.own(spec.a), self.own(spec.b)]
         self.binet: BinetSpec | None = None
         self.table = None
 
-    def term(self, n: int) -> Scalar:
-        """n-th term by the recurrence."""
+    def own_term(self, n: int):
+        """n-th term by the recurrence, in the spec's own number type."""
         if n < 0:
             raise ValueError("term index must be nonnegative")
         vals = self._values
-        s, t = self.spec.s, self.spec.t
-        while len(vals) <= n:
-            vals.append(s * vals[-1] + t * vals[-2])
+        if len(vals) <= n:
+            own = self.own
+            s, t = own(self.spec.s), own(self.spec.t)
+            while len(vals) <= n:
+                vals.append(own(s * vals[-1] + t * vals[-2]))
         return vals[n]
 
-    def native_term(self, n: int) -> Native:
-        """n-th term by the recurrence, as an int or Fraction; the spec must
-        be rational."""
-        if n < 0:
-            raise ValueError("term index must be nonnegative")
-        vals = self._natives
-        if vals is None:
-            spec = self.spec
-            vals = self._natives = [native(spec.a), native(spec.b)]
-        if len(vals) <= n:
-            s, t = native(self.spec.s), native(self.spec.t)
-            while len(vals) <= n:
-                vals.append(native(s * vals[-1] + t * vals[-2]))
-        return vals[n]
+    def term(self, n: int) -> Scalar:
+        """n-th term by the recurrence, as a Scalar."""
+        return lift(self.own_term(n))
 
     @cached_property
     def companions(self) -> tuple["SeqContext", "SeqContext"]:
@@ -349,16 +343,15 @@ class AdditionReport:
 
 
 def addition_check(spec: HoradamSpec, r: int, s: int) -> AdditionReport:
-    """The identities on native values when s and t are rational, on Scalar
-    values otherwise; the report holds Scalar values either way."""
+    """The identities on the terms of U(s, t) and V(s, t) as their contexts
+    hold them, native values when s and t are rational; the report holds
+    Scalar values either way."""
     if r < 0 or s < 0:
         raise ValueError("indices must be nonnegative")
     u_ctx, v_ctx = context(spec).companions
-    d = disc = spec.discriminant()
-    if u_ctx.spec.is_rational:
-        u, v, d = u_ctx.native_term, v_ctx.native_term, native(disc)
-    else:
-        u, v = u_ctx.term, v_ctx.term
+    u, v = u_ctx.own_term, v_ctx.own_term
+    disc = spec.discriminant()
+    d = u_ctx.own(disc)
     u_ok = 2 * u(r + s) == u(r) * v(s) + u(s) * v(r)
     v_corrected_ok = 2 * v(r + s) == v(r) * v(s) + d * u(r) * u(s)
     lhs = 2 * v(r + s)

@@ -346,8 +346,12 @@ def test_verify_passes(capsys):
 
 
 def test_verify_broken_scalar_identity_exits_1(capsys, monkeypatch):
-    # a hu_sun pair built from wrong terms breaks F(r+s) = h1*F(r) + h2*F(s)
-    monkeypatch.setattr(recurrences, "term", lambda spec, n: Scalar(5))
+    # a hu_sun pair built from wrong terms, every U(n) read as 5, breaks
+    # F(r+s) = h1*F(r) + h2*F(s)
+    entry = recurrences._FAMILIES["hu_sun"]
+    monkeypatch.setitem(recurrences._FAMILIES, "hu_sun", entry._replace(
+        rule=lambda family, r, s: (5 * family.numbers.one,
+                                   family.numbers.value(family.seq.t) * 5)))
     code, _, err = run_cli(capsys, "verify", "--preset", "fibonacci",
                            "--family", "hu_sun", "--max-n", "3")
     assert code == 1

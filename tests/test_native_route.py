@@ -1,9 +1,16 @@
 """The checks of a rational spec run on native ints and Fractions; each is
 compared here, cell by cell, with the same check on the Scalar/QuadExt route.
 
-The route follows `HoradamSpec.is_rational`; patching it to False sends every
-spec down the Scalar/QuadExt route, which is the reference."""
+The route follows `HoradamSpec.is_rational`, read once when a spec's context
+is made; patching it to False over an empty memo sends every spec down the
+Scalar/QuadExt route, which is the reference."""
 
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbinom import recurrences
-from hbinom.binomials import ZeroTermError, table_for
+from hbinom import recurrences, sequences
+from hbinom.binomials import ZeroTermError, integrality_scan, table_for
+from hbinom.cli import main
 from hbinom.recurrences import (FAMILY_TAGS, NATIVE, CoeffFamily, ScalarIdentityError,
                                 family_coeffs, resolve_family, verify_pascal,
                                 vweighted_verify)
 from hbinom.ring import NativeExt, QuadExt, Scalar, lift, native, ndiv
-from hbinom.sequences import HoradamSpec, addition_check, context, preset, to_binet
+from hbinom.sequences import (HoradamSpec, addition_check, context, preset, series_verify,
+                              term, to_binet)
 
 SPECS = {
     "fibonacci": preset("fibonacci"),
@@ -41,6 +50,7 @@ rational_specs = st.builds(
 
 def _on_scalars(monkeypatch):
     monkeypatch.setattr(HoradamSpec, "is_rational", property(lambda self: False))
+    monkeypatch.setattr(sequences, "_contexts", OrderedDict())
 
 
 def _cells(cells):
@@ -146,10 +156,10 @@ def test_native_values_are_never_floats(name):
                     continue
                 assert _exact(pair.h1) and _exact(pair.h2), (tag, r)
     # the stored terms, factorials and cells are settled
-    assert all(_settled(v) for v in context(spec)._natives)
+    assert all(_settled(v) for v in context(spec)._values)
     tbl = table_for(spec)
-    assert all(_settled(v) for v in tbl._native_fact)
-    assert all(_settled(v) for v in tbl._native_cells.values())
+    assert all(_settled(v) for v in tbl._fact)
+    assert all(_settled(v) for v in tbl._cells.values())
     for ladder in to_binet(spec).native_ladders:
         assert all(_exact(v) for v in ladder._rungs)
 
@@ -199,6 +209,104 @@ def test_the_route_follows_the_spec(monkeypatch):
     assert recurrences._numbers(fib) is NATIVE
     assert recurrences._numbers(poly) is recurrences.SCALAR
     verify_pascal(fib, CoeffFamily.hu_sun(1, 1), 5)
-    assert table_for(fib)._native_cells
+    assert table_for(fib)._cells
     _on_scalars(monkeypatch)
     assert recurrences._numbers(fib) is recurrences.SCALAR
+
+
+# -- the readers of the held values, and the triangles built on them --------
+
+
+def _scalar_memo(monkeypatch):
+    """A fresh memo whose contexts hold Scalars whatever the spec.  Unlike
+    `_on_scalars` it leaves `is_rational` alone, so `series_verify` and the
+    generating function still accept rational specs."""
+    monkeypatch.setattr(sequences, "_contexts", OrderedDict())
+    monkeypatch.setattr(sequences, "native", Scalar.coerce)
+
+
+def _pinned(values) -> list:
+    """Values with their types and JSON forms."""
+    return [(v, type(v), json.dumps(v.to_json())) for v in values]
+
+
+def _attempt(read):
+    try:
+        return read()
+    except ZeroTermError as exc:
+        return ZeroTermError, exc.index
+
+
+def _readers(spec: HoradamSpec, max_n: int) -> dict:
+    """What every reader of the spec's terms and table gives up to max_n."""
+    tbl = table_for(spec)
+    out = {"terms": _pinned(term(spec, n) for n in range(max_n + 1)),
+           "series": series_verify(spec, max_n),
+           "integrality": _attempt(lambda: [(n, k, _pinned([v]))
+                                            for n, k, v in integrality_scan(spec, max_n)])}
+    for n in range(max_n + 1):
+        out["row", n] = _attempt(lambda: _pinned(tbl.row(n)))
+        out["factorial", n] = _attempt(lambda: _pinned([tbl.factorial(n)]))
+        out["binomial", n] = _attempt(
+            lambda: _pinned(tbl.binomial(n, k) for k in range(-1, n + 2)))
+        out["multinomial", n] = _attempt(
+            lambda: _pinned(tbl.multinomial((k, 1, n - k)) for k in range(n + 1)))
+    return out
+
+
+def _cli(*argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _triangles(spec: HoradamSpec, max_n: int) -> dict:
+    """`hbinom triangle` for both kinds in every format, and a cold and a warm
+    cached run with the cache file's bytes."""
+    given = ("triangle", "--spec", json.dumps(spec.to_json()), "--max-n", str(max_n))
+    kinds = {"binomial": (), "slice": ("--kind", "multinomial-slice", "--parts", "1")}
+    out = {}
+    for kind, extra in kinds.items():
+        for fmt in ("text", "csv", "json"):
+            out[kind, fmt] = _cli(*given, *extra, "--format", fmt)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "t.jsonl")
+            cold = _cli(*given, *extra, "--cache", str(path))
+            warm = _cli(*given, *extra, "--cache", str(path))
+            out[kind, "cache"] = cold, warm, path.exists() and path.read_bytes()
+    return out
+
+
+def _native_and_scalar_memos(monkeypatch, spec: HoradamSpec, max_n: int) -> tuple:
+    native_side = _readers(spec, max_n), _triangles(spec, max_n)
+    held = [v for row in table_for(spec)._rows for v in row] + context(spec)._values
+    assert all(type(v) in (int, Fraction) for v in held)
+    with monkeypatch.context() as m:
+        _scalar_memo(m)
+        scalar_side = _readers(spec, max_n), _triangles(spec, max_n)
+        held = [v for row in table_for(spec)._rows for v in row] + context(spec)._values
+        assert all(type(v) is Scalar for v in held)
+    return native_side, scalar_side
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_readers_and_triangles_match_the_scalar_memo(monkeypatch, name):
+    native_side, scalar_side = _native_and_scalar_memos(monkeypatch, SPECS[name], MAX_N)
+    assert native_side == scalar_side
+
+
+@given(rational_specs)
+@settings(max_examples=10, deadline=None)
+def test_readers_and_triangles_match_on_rational_specs(spec):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        native_side, scalar_side = _native_and_scalar_memos(monkeypatch, spec, 6)
+    assert native_side == scalar_side
+
+
+def test_a_zero_term_stops_both_memos_at_the_same_index(monkeypatch):
+    native_side, scalar_side = _native_and_scalar_memos(monkeypatch, SPECS["u0_1"], 6)
+    readers, triangles = native_side
+    assert readers["row", 5] == readers["factorial", 3] == (ZeroTermError, 2)
+    assert triangles["binomial", "csv"] == (1, "", "error: sequence term at index 2 is zero\n")
+    assert native_side == scalar_side

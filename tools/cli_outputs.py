@@ -5,10 +5,11 @@ Standard library only, so it runs where pytest is not installed:
     PYTHONPATH=src python tools/cli_outputs.py > digests.json
 
 prints, for each case, the exit code, the sha256 of stdout (a JSON report
-without its `generated_at`) and stderr, as sorted JSON.  Two versions agree
-when their files are byte-identical.  The cases mix int and Fraction values
-(rational specs with integral and non-integral entries), polynomial cells
-and the default suite.
+without its `generated_at`) and stderr, as sorted JSON, and the sha256 of the
+triangle cache file that the cached cases write in a temporary directory.
+Two versions agree when their files are byte-identical.  The cases mix int
+and Fraction values (rational specs with integral and non-integral entries),
+polynomial cells and the default suite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 
 from hbinom.cli import VERIFY_FAMILIES, main
 
@@ -34,6 +37,15 @@ CASES = {
     "triangle_lucas_numbers": ("triangle", "--preset", "lucas_numbers", "--max-n", "40",
                                "--format", "csv"),
     "triangle_fractional": ("triangle", "--spec", FRACTIONAL, "--max-n", "12"),
+    "seq_fractional": ("seq", "--spec", FRACTIONAL, "--max-n", "30"),
+    "binom_fractional": ("binom", "--spec", FRACTIONAL, "-n", "12", "-k", "5"),
+    "triangle_fractional_slice": ("triangle", "--spec", FRACTIONAL, "--max-n", "10",
+                                  "--kind", "multinomial-slice", "--parts", "1,2",
+                                  "--format", "csv"),
+    # the same cache twice: a cold pass writes it, a warm pass replays it
+    **{f"triangle_fractional_cache_{pass_}": ("triangle", "--spec", FRACTIONAL,
+                                              "--max-n", "12", "--cache", "{tmp}/t.jsonl")
+       for pass_ in ("cold", "warm")},
     "triangle_cigler_qfib": ("triangle", "--preset", "cigler_qfib", "--max-n", "10"),
     **{f"verify_{family}_{name}": ("verify", *args, "--family", family, "--max-n", "10",
                                    "--format", "json")
@@ -54,5 +66,9 @@ def run(argv) -> list:
 
 
 if __name__ == "__main__":
-    digests = {name: run(argv) for name, argv in CASES.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: run([arg.replace("{tmp}", tmp) for arg in argv])
+                   for name, argv in CASES.items()}
+        with open(os.path.join(tmp, "t.jsonl"), "rb") as fh:
+            digests["triangle_fractional_cache_file"] = hashlib.sha256(fh.read()).hexdigest()
     sys.stdout.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")
