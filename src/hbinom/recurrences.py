@@ -8,14 +8,15 @@ identity on construction, and verifies the cell identity over whole tables.
 h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
 
 Each family's rule is written once, over + - * ** and truth tests, with
-rational divisions through `ring.ndiv` (`int / int` would give a float;
-extension values divide with `/`).  The checks read the terms and cells that
+rational divisions through `ring.ndiv` (`int / int` would give a float; no
+rule divides an extension value).  The checks read the terms and cells that
 the spec's context holds, in the spec's own number type: a table whose spec
 has rational entries is checked on `int`/`Fraction` terms and cells, and on
-`NativeExt` pairs for the closed-form families.  Any other table runs the
-same rules on `Scalar` and `QuadExt`.  Values leave the module as `Scalar`
-and `QuadExt` on both routes: the pairs of `family_coeffs`, `coeffs_binet`
-and `coeffs_alternating`, and the sides in cell records and error messages.
+`NativeExt` pairs built from terms for the closed-form families.  Any other
+table runs the same rules on `Scalar` and `QuadExt`.  Values leave the module
+as `Scalar` and `QuadExt` on both routes: the pairs of `family_coeffs`,
+`coeffs_binet` and `coeffs_alternating`, and the sides in cell records and
+error messages.
 """
 
 from __future__ import annotations
@@ -45,19 +46,18 @@ class FamilyRequirementError(ValueError):
 
 class _Numbers(NamedTuple):
     """A number type the rules run on: how a Scalar reads in it, its one,
-    and how it reads a sequence's terms and a closed form's ladders A*p^k
-    and B*q^k."""
+    how it reads a sequence's terms, and its extension value
+    (a + b*sqrt(disc))/den from a, b, den and disc of the type."""
 
     value: Callable[[Scalar], object]
     one: object
     terms: Callable[[SequenceLike], Callable[[int], object]]
-    ladders: Callable[[BinetSpec], tuple]
+    ext: Callable[..., object]
 
 
 SCALAR = _Numbers(lambda x: x, ONE, sequence_fn,
-                  lambda binet: (binet.a_p_pow, binet.b_q_pow))
-NATIVE = _Numbers(native, 1, lambda spec: context(spec).own_term,
-                  lambda binet: binet.native_ladders)
+                  lambda a, b, den, disc: QuadExt(a / den, b / den, disc))
+NATIVE = _Numbers(native, 1, lambda spec: context(spec).own_term, NativeExt.over)
 
 
 def _numbers(seq: SequenceLike) -> _Numbers:
@@ -96,15 +96,25 @@ def _assert_scalar_identity(fn: Callable[[int], object], pair: CoeffPair) -> Non
             f"h1*F(r) + h2*F(s) = {lift(lhs)}, F(r+s) = {lift(rhs)}")
 
 
-def _closed_form_pair(numbers: _Numbers, binet: BinetSpec, r: int, s: int) -> tuple:
-    ap, bq = numbers.ladders(binet)
-    h_r = ap[r] + bq[r]
-    h_s = ap[s] + bq[s]
+def _closed_form_pair(family: "CoeffFamily", r: int, s: int) -> tuple:
+    """A*p^(r+s)/H(r) and B*q^(r+s)/H(s) from the terms of H and of the
+    closed form's conjugate G: A*p^n = (H(n) + (p - q)*G(n))/2 and
+    B*q^n = (H(n) - (p - q)*G(n))/2.  p - q is beta*sqrt(disc) for conjugate
+    roots (beta = 1 from `char_roots`), and the base-field alpha for rational
+    roots, where (p - q)*G folds into the base field."""
+    h = family.terms
+    h_r, h_s, h_rs = h(r), h(s), h(r + s)
     if not h_r:
         raise SingularCoefficientError(f"sequence term at index {r} is zero")
     if not h_s:
         raise SingularCoefficientError(f"sequence term at index {s} is zero")
-    return ap[r + s] / h_r, bq[r + s] / h_s
+    g, alpha, beta, disc = family.conjugate
+    g_rs, ext = g(r + s), family.numbers.ext
+    if beta:
+        y = g_rs if beta == 1 else beta * g_rs
+        return ext(h_rs, y, 2 * h_r, disc), ext(h_rs, -y, 2 * h_s, disc)
+    x = alpha * g_rs
+    return ext(h_rs + x, 0, 2 * h_r, disc), ext(h_rs - x, 0, 2 * h_s, disc)
 
 
 def coeffs_binet(binet: BinetSpec, r: int, s: int) -> CoeffPair:
@@ -115,7 +125,8 @@ def coeffs_binet(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
-    return CoeffPair(r, s, *_closed_form_pair(SCALAR, binet, r, s))
+    family = CoeffFamily("binet", binet.spec, closed_form=binet)
+    return CoeffPair(r, s, *_closed_form_pair(family, r, s))
 
 
 def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
@@ -132,12 +143,13 @@ def coeffs_alternating(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     """
     if r < 1 or s < 1:
         raise ValueError("split indices must be positive")
+    if r == s:
+        return coeffs_binet(binet, r, s)
     return CoeffPair(r, s, *_alternating_pair(SCALAR, binet, r, s))
 
 
 def _alternating_pair(numbers: _Numbers, binet: BinetSpec, r: int, s: int) -> tuple:
-    if r == s:
-        return _closed_form_pair(numbers, binet, r, s)
+    """The U-ratio pair at r != s."""
     fundamental = binet.fundamental
     u = numbers.terms(fundamental)
     pq = -numbers.value(fundamental.t)
@@ -185,6 +197,15 @@ class CoeffFamily:
     def terms(self) -> Callable[[int], object]:
         """The terms of `seq` on the family's number type."""
         return self.numbers.terms(self.seq)
+
+    @cached_property
+    def conjugate(self) -> tuple:
+        """(g, alpha, beta, disc) on the family's number type: the terms g of
+        the closed form's conjugate G, and p - q = alpha + beta*sqrt(disc)."""
+        binet, value = self.closed_form, self.numbers.value
+        root = binet.p - binet.q
+        return (self.numbers.terms(binet.conjugate), value(root.alpha),
+                value(root.beta), value(binet.disc))
 
     @classmethod
     def binet(cls, spec: HoradamSpec) -> "CoeffFamily":
@@ -275,10 +296,10 @@ class _Family(NamedTuple):
 # fundamental-sequence families certify the (0, 1, s, t) table for the spec's
 # weights; the others the spec.
 _FAMILIES: Dict[str, _Family] = {
-    "binet": _Family(CoeffFamily.binet,
-                     lambda f, r, s: _closed_form_pair(f.numbers, f.closed_form, r, s)),
-    "alternating": _Family(CoeffFamily.alternating,
-                           lambda f, r, s: _alternating_pair(f.numbers, f.closed_form, r, s)),
+    "binet": _Family(CoeffFamily.binet, _closed_form_pair),
+    "alternating": _Family(CoeffFamily.alternating, lambda f, r, s: (
+        _closed_form_pair(f, r, s) if r == s
+        else _alternating_pair(f.numbers, f.closed_form, r, s))),
     "corcino_a": _Family(
         lambda spec: CoeffFamily.corcino_a(*_rational_roots("corcino_a", spec)),
         _corcino(0, 1)),

@@ -14,9 +14,9 @@ discriminants refuse to combine.
 A sequence whose entries are all rational is held and checked on native
 values instead: a plain ``int`` when the value is integral, a ``Fraction``
 otherwise, and a :class:`NativeExt` pair of them in place of a ``QuadExt``.
-``ndiv`` divides every one of these number types (``int / int`` would give a
-float), and ``lift`` turns native values back into the ``Scalar`` or
-``QuadExt`` they stand for.
+``ndiv`` divides native and ``Scalar`` values (``int / int`` would give a
+float); a ``NativeExt`` is only added and multiplied.  ``lift`` turns native
+values back into the ``Scalar`` or ``QuadExt`` they stand for.
 """
 
 from __future__ import annotations
@@ -385,8 +385,6 @@ class Scalar:
             return NotImplemented
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
-            if x.denominator == 1 == y.denominator:
-                return _from_int(x.numerator + y.numerator)
             return _from_fraction(x + y)
         if self._den == _P1 and other._den == _P1:
             return Scalar._raw(_padd(self._num, other._num), _P1)
@@ -402,8 +400,6 @@ class Scalar:
             return NotImplemented
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
-            if x.denominator == 1 == y.denominator:
-                return _from_int(x.numerator - y.numerator)
             return _from_fraction(x - y)
         return self.__add__(-other)
 
@@ -422,8 +418,6 @@ class Scalar:
             return NotImplemented
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
-            if x.denominator == 1 == y.denominator:
-                return _from_int(x.numerator * y.numerator)
             return _from_fraction(x * y)
         if self._den == _P1 and other._den == _P1:
             return Scalar._raw(_pmul_ff(self._num, other._num), _P1)
@@ -584,8 +578,8 @@ def _from_fraction(f: Fraction) -> Scalar:
 
 
 def _from_int(n: int) -> Scalar:
-    # the integer fast path of +, - and *: an int result wrapped once, with
-    # no Fraction operator dispatch or gcd
+    # an int wrapped once, with no Fraction operator dispatch or gcd: `lift`
+    # reads every held int through here
     return Scalar._raw((Fraction(n),) if n else (), _P1)
 
 
@@ -751,7 +745,7 @@ def native(value) -> Native:
 
 def ndiv(a, b):
     """Exact quotient a / b, never a float: native values give a native
-    value, and Scalar, QuadExt and NativeExt values divide with /."""
+    value, and Scalar values divide with /."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
@@ -760,20 +754,24 @@ def ndiv(a, b):
 
 
 class NativeExt:
-    """(a + b*sqrt(disc)) / den with native a, b, den and disc: a QuadExt
-    value kept over one denominator, so that sums, products and quotients
-    take a few int operations and no gcd.  `alpha` and `beta` reduce it."""
+    """(a + b*sqrt(disc)) / den with int a, b, den and a native disc: a
+    QuadExt value kept over one denominator, so that sums and products take
+    a few int operations and no gcd.  `alpha` and `beta` reduce it."""
 
     __slots__ = ("a", "b", "den", "disc")
 
-    def __init__(self, a: Native, b: Native, den: Native, disc: Native):
+    def __init__(self, a: int, b: int, den: int, disc: Native):
         self.a, self.b, self.den, self.disc = a, b, den, disc
 
     @classmethod
-    def of(cls, value: QuadExt) -> "NativeExt":
-        alpha, beta = value.alpha.as_fraction(), value.beta.as_fraction()
-        den = math.lcm(alpha.denominator, beta.denominator)
-        return cls(int(alpha * den), int(beta * den), den, native(value.disc))
+    def over(cls, a: Native, b: Native, den: Native, disc: Native) -> "NativeExt":
+        """(a + b*sqrt(disc)) / den for native a, b and den, scaled to ints by
+        the lcm of their denominators."""
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        dn, dd = den.as_integer_ratio()
+        m = math.lcm(ad, bd, dd)
+        return cls(an * (m // ad), bn * (m // bd), dn * (m // dd), disc)
 
     @classmethod
     def embed(cls, value: Native, disc: Native) -> "NativeExt":
@@ -804,18 +802,6 @@ class NativeExt:
         if not d:
             return NativeExt(a * c, b * c, den, self.disc)
         return NativeExt(a * c + self.disc * b * d, a * d + b * c, den, self.disc)
-
-    def __truediv__(self, other: "NativeExt") -> "NativeExt":
-        a, b, c, d = self.a, self.b, other.a, other.b
-        if d:
-            # times the conjugate c - d*sqrt(disc), over the norm
-            n = c * c - self.disc * d * d
-            a, b = a * c - self.disc * b * d, b * c - a * d
-        else:
-            n = c
-        if not n:
-            raise ZeroDivisionError(f"zero-norm extension element: {lift(other)}")
-        return NativeExt(a * other.den, b * other.den, self.den * n, self.disc)
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)

@@ -1,6 +1,7 @@
-"""The per-spec context: one bounded memo of terms, closed form, root-power
-ladders and binomial table, and the ladder-fed closed-form families checked
-cell by cell against the square-and-multiply route."""
+"""The per-spec context: one bounded memo of terms, closed form and binomial
+table; the root powers A*p^k and B*q^k that the closed form reads from the
+terms of H and of its conjugate G, and the closed-form families, checked
+against the square-and-multiply route."""
 
 from fractions import Fraction
 
@@ -8,22 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbinom import sequences
+from hbinom import recurrences, sequences
 from hbinom.binomials import sequence_fn, table_for
 from hbinom.recurrences import (CoeffFamily, CoeffPair, SingularCoefficientError,
                                 coeffs_alternating, coeffs_binet, verify_pascal)
-from hbinom.ring import Scalar
-from hbinom.sequences import (CONTEXT_LIMIT, HoradamSpec, context, preset, term,
-                              to_binet)
+from hbinom.ring import NativeExt, QuadExt, Scalar
+from hbinom.sequences import (CONTEXT_LIMIT, BinetSpec, HoradamSpec, context, preset,
+                              term, to_binet)
 
 # every preset whose characteristic roots are distinct
 PRESETS = [preset("fibonacci"), preset("pell"), preset("lucas_numbers"),
            preset("cigler_qfib"), preset("cigler_qlucas", t=-2),
            preset("u", s=3, t=-2), preset("v", s=3, t=-2),
            preset("u", s=1, t=-1),   # roots are sixth roots of unity: zero terms
-           preset("u", s=0, t=1)]    # roots +1 and -1: vanishing denominators
+           preset("u", s=0, t=1),    # roots +1 and -1: vanishing denominators
+           # polynomial roots x and 1: the discriminant (x - 1)^2 is a square
+           HoradamSpec.from_json({"a": "0", "b": "1", "s": ["1", "1"], "t": ["0", "-1"]}),
+           # fractional roots 1/2 and 1/3
+           HoradamSpec(Fraction(1, 2), 3, Fraction(5, 6), Fraction(-1, 6))]
 PRESET_IDS = ["fibonacci", "pell", "lucas_numbers", "cigler_qfib", "cigler_qlucas",
-              "u_split", "v_split", "u_unit_roots", "u_opposite_roots"]
+              "u_split", "v_split", "u_unit_roots", "u_opposite_roots",
+              "u_square_disc", "split_fractional"]
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 rational_specs = st.builds(
@@ -116,16 +122,23 @@ def test_context_term_rejects_negative_index():
         sequence_fn(preset("fibonacci"))(-1)
 
 
-# -- ladders against square-and-multiply ------------------------------------
+# -- root powers from terms against square-and-multiply ---------------------
 
 
 def _check_ladders(spec: HoradamSpec, top: int) -> None:
+    """A*p^k = (H(k) + (p - q)*G(k))/2 and B*q^k = (H(k) - (p - q)*G(k))/2
+    for k <= top, and 2D*G = a*D*U + (2b - a*s)*V over U(s, t) and V(s, t)."""
     binet = to_binet(spec)
+    root, half = binet.p - binet.q, Fraction(1, 2)
+    a, b, s, d = spec.a, spec.b, spec.s, spec.discriminant()
+    u, v = (sequence_fn(ctx.spec) for ctx in context(spec).companions)
     for k in range(top + 1):
-        assert binet.a_p_pow[k] == binet.A * binet.p ** k
-        assert binet.b_q_pow[k] == binet.B * binet.q ** k
+        h, g = term(spec, k), term(binet.conjugate, k)
+        assert (h + root * g) * half == binet.A * binet.p ** k
+        assert (h - root * g) * half == binet.B * binet.q ** k
+        assert 2 * d * g == a * d * u(k) + (2 * b - a * s) * v(k)
     with pytest.raises(ValueError):
-        binet.a_p_pow[-1]
+        term(binet.conjugate, -1)
 
 
 @pytest.mark.parametrize("spec", PRESETS, ids=PRESET_IDS)
@@ -187,6 +200,17 @@ def test_closed_form_pairs_match_reference_on_presets(spec):
     # the polynomial presets stop at 12, where the reference route already
     # takes about a second; their ladders are checked to 40 above
     _check_pairs(spec, 20 if spec.s.is_rational else 12)
+
+
+def test_the_closed_form_holds_no_root_powers():
+    binet = to_binet(preset("fibonacci"))
+    for name in ("a_p_pow", "b_q_pow", "native_ladders"):
+        assert not hasattr(BinetSpec, name) and not hasattr(binet, name)
+    assert not hasattr(sequences, "Ladder")
+    assert "ladders" not in recurrences._Numbers._fields
+    for name in ("of", "__truediv__"):
+        assert not hasattr(NativeExt, name)
+    assert hasattr(QuadExt, "__pow__") and hasattr(QuadExt, "__truediv__")
 
 
 def test_reference_comparison_reaches_singular_cells():

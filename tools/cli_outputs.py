@@ -9,7 +9,8 @@ without its `generated_at`) and stderr, as sorted JSON, and the sha256 of the
 triangle cache file that the cached cases write in a temporary directory.
 Two versions agree when their files are byte-identical.  The cases mix int
 and Fraction values (rational specs with integral and non-integral entries),
-polynomial cells and the default suite.
+polynomial cells, closed-form pairs on split fractional and polynomial roots,
+and the default suite.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ SPECS = {
     "fibonacci": ("--preset", "fibonacci"),
     "split": ("--preset", "u", "--s", "3", "--t", "-2"),
     "fractional": ("--spec", FRACTIONAL),
+}
+# roots 1/2 and 1/3, held natively; polynomial roots (x +/- sqrt(x^2 + 4))/2
+CLOSED_FORM_SPECS = {
+    "split_fractional": (("--spec", json.dumps({"a": "1/2", "b": "3", "s": "5/6",
+                                                "t": "-1/6"})), "10"),
+    "cigler_qfib": (("--preset", "cigler_qfib"), "8"),
 }
 
 CASES = {
@@ -50,6 +57,10 @@ CASES = {
     **{f"verify_{family}_{name}": ("verify", *args, "--family", family, "--max-n", "10",
                                    "--format", "json")
        for name, args in SPECS.items() for family in VERIFY_FAMILIES},
+    **{f"verify_{family}_{name}": ("verify", *args, "--family", family, "--max-n", max_n,
+                                   "--format", "json")
+       for name, (args, max_n) in CLOSED_FORM_SPECS.items()
+       for family in ("binet", "alternating")},
 }
 
 
