@@ -5,7 +5,7 @@ Standard library only, so it runs where pytest is not installed:
     PYTHONPATH=src python tools/cli_outputs.py > digests.json
 
 prints, for each case, the exit code, the sha256 of stdout (a JSON report
-without its `generated_at`) and stderr, as sorted JSON, and the sha256 of the
+without its `generated_at`) and stderr, as sorted JSON, and the sha256 of each
 triangle cache file that the cached cases write in a temporary directory.
 Two versions agree when their files are byte-identical.  The cases mix int
 and Fraction values (rational specs with integral and non-integral entries),
@@ -38,6 +38,13 @@ CLOSED_FORM_SPECS = {
     "cigler_qfib": (("--preset", "cigler_qfib"), "8"),
 }
 
+# triangles whose cache a cold and a warm pass share: Fraction cells, and
+# polynomial and rational-function cells, whose records hold lists and dicts
+CACHED = {
+    "fractional": ("--spec", FRACTIONAL, "--max-n", "12"),
+    "cigler_qlucas": ("--preset", "cigler_qlucas", "--max-n", "8"),
+}
+
 CASES = {
     "suite_default_text": ("suite",),
     "suite_default_json": ("suite", "--format", "json"),
@@ -50,10 +57,13 @@ CASES = {
                                   "--kind", "multinomial-slice", "--parts", "1,2",
                                   "--format", "csv"),
     # the same cache twice: a cold pass writes it, a warm pass replays it
-    **{f"triangle_fractional_cache_{pass_}": ("triangle", "--spec", FRACTIONAL,
-                                              "--max-n", "12", "--cache", "{tmp}/t.jsonl")
-       for pass_ in ("cold", "warm")},
+    **{f"triangle_{name}_cache_{pass_}": ("triangle", *args, "--cache",
+                                          f"{{tmp}}/{name}.jsonl")
+       for name, args in CACHED.items() for pass_ in ("cold", "warm")},
     "triangle_cigler_qfib": ("triangle", "--preset", "cigler_qfib", "--max-n", "10"),
+    **{f"triangle_cigler_qlucas_{fmt}": ("triangle", "--preset", "cigler_qlucas",
+                                         "--max-n", "8", "--format", fmt)
+       for fmt in ("text", "json")},
     **{f"verify_{family}_{name}": ("verify", *args, "--family", family, "--max-n", "10",
                                    "--format", "json")
        for name, args in SPECS.items() for family in VERIFY_FAMILIES},
@@ -71,8 +81,9 @@ def run(argv) -> list:
     text = out.getvalue()
     if text and "--format" in argv and argv[argv.index("--format") + 1] == "json":
         doc = json.loads(text)
-        doc.pop("generated_at")
-        text = json.dumps(doc, indent=2, sort_keys=True)
+        if isinstance(doc, dict):   # a report; a json triangle is a list
+            doc.pop("generated_at")
+            text = json.dumps(doc, indent=2, sort_keys=True)
     return [code, hashlib.sha256(text.encode()).hexdigest(), err.getvalue()]
 
 
@@ -80,6 +91,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: run([arg.replace("{tmp}", tmp) for arg in argv])
                    for name, argv in CASES.items()}
-        with open(os.path.join(tmp, "t.jsonl"), "rb") as fh:
-            digests["triangle_fractional_cache_file"] = hashlib.sha256(fh.read()).hexdigest()
+        for name in CACHED:
+            with open(os.path.join(tmp, f"{name}.jsonl"), "rb") as fh:
+                digests[f"triangle_{name}_cache_file"] = hashlib.sha256(fh.read()).hexdigest()
     sys.stdout.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")
