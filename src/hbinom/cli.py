@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .recurrences import (FAMILY_TAGS, FamilyRequirementError,
                           ScalarIdentityError, SingularCoefficientError,
                           resolve_family, verify_pascal, vweighted_verify)
 from .report import ENGINE_VERSION, Report
-from .ring import Scalar, exact_rational, lift
+from .ring import Scalar, exact_rational
 from .sequences import (DegenerateRootsError, HoradamSpec, addition_check,
                         preset, series_verify, term)
 
@@ -108,6 +109,34 @@ def _rows_to_stream(rows: list[dict], fmt: str, header: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A field that `csv.writer` may not write as it is, under QUOTE_MINIMAL with a
+# "\n" terminator: one holding the delimiter, the quote character, a line
+# break (a "\r" is quoted from CPython 3.13 on) or a NUL (3.10 refuses it).
+_CSV_QUOTED = re.compile('[",\r\n\x00]').search
+
+TRIANGLE_HEADER = ["n", "k", "value"]
+
+
+def _triangle_to_stream(cells: list[tuple], fmt: str) -> str:
+    """`_rows_to_stream` of (n, k, value) cells, with a text line, and a csv
+    line whose value needs no quoting (every rational value), written as an
+    f-string.  Other values go through `_render_value` and `csv.writer`."""
+    if fmt == "json":
+        return _rows_to_stream([{"n": n, "k": k, "value": v} for n, k, v in cells],
+                               fmt, TRIANGLE_HEADER)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(TRIANGLE_HEADER)
+        for n, k, v in cells:
+            if type(v) is str and not _CSV_QUOTED(v):
+                buf.write(f"{n},{k},{v}\n")
+            else:
+                writer.writerow((n, k, _render_value(v)))
+        return buf.getvalue()
+    return "\n".join([f"{n}  {k}  {_render_value(v)}" for n, k, v in cells]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # triangle cache (JSONL, append-only)
 
@@ -133,13 +162,29 @@ def default_cache_path() -> str | None:
     return os.path.join(cache_dir, "triangles.jsonl")
 
 
+def _decode_line(decode, line: str):
+    """`json.loads(line)` for a line with no surrounding whitespace, raising
+    the same JSONDecodeError texts, through the decoder's `raw_decode`."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                   line, 0)
+    rec, end = decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line,
+                                   json.decoder.WHITESPACE.match(line, end).end())
+    return rec
+
+
 def load_cache(path: str) -> dict[tuple[str, int, int], object]:
     """Cached cells by (spec hash, n, k).  A record counts once its newline is
     written: an unterminated last line, left by an interrupted append, is
-    skipped.  Any other bad line is a ConfigError."""
+    skipped.  Any other bad line is a ConfigError, and so is a record whose
+    n or k is not an integer, whose spec_hash is not a string, or whose value
+    is not a string, a list or an object: none of them is replayed."""
     cache: dict[tuple[str, int, int], object] = {}
     if not os.path.exists(path):
         return cache
+    decode = json.JSONDecoder().raw_decode
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.endswith("\n"):
@@ -148,12 +193,30 @@ def load_cache(path: str) -> dict[tuple[str, int, int], object]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                key = (rec["spec_hash"], int(rec["n"]), int(rec["k"]))
-                cache[key] = rec["value"]
+                rec = _decode_line(decode, line)
+                spec_hash, n, k = rec["spec_hash"], rec["n"], rec["k"]
+                value = rec["value"]
+                if not (type(n) is int and type(k) is int and type(spec_hash) is str
+                        and type(value) in (str, list, dict)):
+                    raise ValueError("n and k must be integers, spec_hash a string, "
+                                     "and value a string, a list or an object")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad cache line {lineno} in {path}: {exc}") from exc
+            cache[(spec_hash, n, k)] = value
     return cache
+
+
+def _encode_records(records: list[dict]) -> str:
+    """One JSON line per record, the bytes of `JSONEncoder(sort_keys=True,
+    separators=(",", ":"))`.  A record is {"spec_hash": str, "n": int, "k":
+    int, "value": ...}; one with a string value is written by an f-string,
+    its strings escaped by the encoder's own `encode_basestring_ascii`."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    esc = json.encoder.encode_basestring_ascii
+    return "".join(
+        f'{{"k":{rec["k"]},"n":{rec["n"]},"spec_hash":{esc(rec["spec_hash"])},'
+        f'"value":{esc(rec["value"])}}}\n' if type(rec["value"]) is str
+        else encode(rec) + "\n" for rec in records)
 
 
 def append_cache(path: str, records: list[dict]) -> None:
@@ -163,8 +226,7 @@ def append_cache(path: str, records: list[dict]) -> None:
     on a fresh line."""
     if not records:
         return
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    payload = "".join(encode(rec) + "\n" for rec in records).encode()
+    payload = _encode_records(records).encode()
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -178,12 +240,19 @@ def append_cache(path: str, records: list[dict]) -> None:
         fh.write(payload)
 
 
+def _cell_json(value):
+    """The JSON form of a held cell: `str` of an int or a Fraction, which is
+    its Scalar's `to_json`, and `to_json` of a Scalar."""
+    return value.to_json() if isinstance(value, Scalar) else str(value)
+
+
 def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
-                  max_n: int, cache_path: str | None) -> list[dict]:
-    """Triangle cells in lexicographic (n, k) order, consulting and updating
-    the JSONL cache when a path is given.  Cached values are reused verbatim.
-    Binomial rows come from `BinomialTable.own_row`, and each mirrored pair
-    C(n,k) = C(n,n-k) is lifted and rendered once."""
+                  max_n: int, cache_path: str | None) -> list[tuple]:
+    """Triangle cells (n, k, value), value in JSON form, in lexicographic
+    (n, k) order, consulting and updating the JSONL cache when a path is
+    given.  Cached values are reused verbatim.  Binomial rows come from
+    `BinomialTable.own_row`, and each mirrored pair C(n,k) = C(n,n-k) is
+    rendered once."""
     digest = triangle_digest(spec, kind, parts)
     cache = load_cache(cache_path) if cache_path else {}
     tbl = table_for(spec)
@@ -192,20 +261,19 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
     for n in range(max_n + 1):
         rendered = None
         for k in range(n + 1):
-            key = (digest, n, k)
-            value_json = cache.get(key)
+            value_json = cache.get((digest, n, k))
             if value_json is None:
                 if kind == "binomial":
                     if rendered is None:
                         half = tbl.own_row(n)[:n // 2 + 1]
-                        rendered = mirror([lift(v).to_json() for v in half], n)
+                        rendered = mirror([_cell_json(v) for v in half], n)
                     value_json = rendered[k]
                 else:
                     rest = n - k - sum(parts)
                     value_json = tbl.multinomial((k,) + parts + (rest,)).to_json()
                 fresh.append({"spec_hash": digest, "n": n, "k": k,
                               "value": value_json})
-            rows.append({"n": n, "k": k, "value": value_json})
+            rows.append((n, k, value_json))
     if cache_path:
         append_cache(cache_path, fresh)
     return rows
@@ -251,8 +319,8 @@ def emit_triangle(spec: HoradamSpec, kind: str, max_n: int, fmt: str = "csv",
 
     Repeat calls with the same cache are byte-identical: cached cells are
     replayed verbatim, never recomputed."""
-    rows = triangle_rows(spec, kind, parts, max_n, cache_path)
-    return _rows_to_stream(rows, fmt, ["n", "k", "value"])
+    return _triangle_to_stream(triangle_rows(spec, kind, parts, max_n, cache_path),
+                               fmt)
 
 
 def cmd_triangle(args) -> int:
