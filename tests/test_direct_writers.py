@@ -80,14 +80,6 @@ def _written(write, cells, fmt):
         return repr(exc)
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("value", ['"', 'a"b', ",", "1,2", "\r", "\n", "a\r\nb", "\x00",
-                                   "", " ", "\t", "\\", "é", "-3/7"])
-def test_direct_lines_match_the_reference_writer_on_special_characters(fmt, value):
-    cells = [(0, 0, "1"), (1, 0, value), (1, 1, "2")]
-    assert _written(_triangle_to_stream, cells, fmt) == _written(_reference, cells, fmt)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), VALUES),
                 min_size=1, max_size=6))
