@@ -4,7 +4,9 @@ A :class:`Scalar` is a quotient of univariate polynomials with rational
 coefficients, kept in a canonical form (monic denominator, reduced, no
 trailing zero coefficients).  Plain rationals and polynomials are the
 ``den == 1`` special cases, so the three kinds mix freely and arithmetic
-never leaves the field.  No floating point anywhere.
+never leaves the field.  No floating point anywhere.  Each side is held as a
+rational content times a primitive int tuple, so products and exact quotients
+run on ints and build no Fraction per coefficient.
 
 A :class:`QuadExt` is an element ``alpha + beta*sqrt(disc)`` of the quadratic
 extension of that field by a fixed discriminant.  The discriminant is carried
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 
 class ExtensionMismatchError(ValueError):
@@ -60,10 +62,6 @@ def _padd(a: Coeffs, b: Coeffs) -> Coeffs:
     for i, c in enumerate(b):
         out[i] += c
     return _trim(out)
-
-
-def _pneg(a: Coeffs) -> Coeffs:
-    return tuple(-c for c in a)
 
 
 def _pmul(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -110,18 +108,15 @@ def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free kernels.  By Gauss's lemma, when primitive integer polynomials
-# satisfy B | A over Q the quotient has integer coefficients, so products and
-# exact quotients run on plain ints and go back to Fraction once, at the end.
-# The Fraction helpers above stay as the reference route the tests compare
-# against, and as the route for short factors and for gcds.
+# fraction-free kernels.  By Gauss's lemma a product of primitive integer
+# polynomials is primitive, and when primitive B | A over Q the quotient has
+# integer coefficients; so a Scalar holds each polynomial as a rational
+# content times a primitive int tuple, and products and exact quotients run
+# on plain ints.  The Fraction helpers above stay as the reference route the
+# tests compare against, and as the route for gcds.
 
-# Both factors must be longer than this for the integer product to win,
-# conversions to and from primitive form included.  Measured on CPython 3.11
-# with 20-bit coefficients: 14 us against 16 us for the Fraction loop at 2 x 2
-# coefficients, 23 us against 72 us at 2 x 10; a constant times a short
-# polynomial stays cheaper on the Fraction route (9 us against 11 us at 1 x 2).
-_INT_MUL_CUTOFF = 1
+Ints = tuple[int, ...]
+_I1: Ints = (1,)
 
 
 def _primitive(coeffs: Coeffs) -> tuple[Fraction, list[int]]:
@@ -136,14 +131,25 @@ def _primitive(coeffs: Coeffs) -> tuple[Fraction, list[int]]:
     return Fraction(g, den), ints
 
 
-def _from_ints(content: Fraction, ints: list[int]) -> Coeffs:
+def _held(coeffs: Coeffs) -> tuple[Fraction, Ints]:
+    """The held form of trimmed coefficients: a content and a primitive int
+    tuple whose leading entry is positive; zero is (0, ())."""
+    if not coeffs:
+        return _F0, ()
+    content, ints = _primitive(coeffs)
+    if ints[-1] < 0:
+        return -content, tuple(-v for v in ints)
+    return content, tuple(ints)
+
+
+def _from_ints(content: Fraction, ints: Sequence[int]) -> Coeffs:
     p, q = content.numerator, content.denominator
     if q == 1:
         return tuple(Fraction(p * v) for v in ints)
     return tuple(Fraction(p * v, q) for v in ints)
 
 
-def _imul(a: list[int], b: list[int]) -> list[int]:
+def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -152,7 +158,7 @@ def _imul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _idivexact(a: list[int], b: list[int]) -> Optional[list[int]]:
+def _idivexact(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     """Integer quotient a / b, or None when some step leaves Z or a remainder stays."""
     lb, lc = len(b), b[-1]
     rem = list(a)
@@ -171,14 +177,48 @@ def _idivexact(a: list[int], b: list[int]) -> Optional[list[int]]:
     return quo
 
 
+def _iadd(c1: Fraction, a: Ints, c2: Fraction, b: Ints) -> tuple[Fraction, Ints]:
+    """The held form of c1*a + c2*b, over the lcm of the contents' denominators."""
+    q1, q2 = c1.denominator, c2.denominator
+    m = math.lcm(q1, q2)
+    f1, f2 = c1.numerator * (m // q1), c2.numerator * (m // q2)
+    if len(a) < len(b):
+        a, b, f1, f2 = b, a, f2, f1
+    out = [f1 * v for v in a]
+    for i, v in enumerate(b):
+        out[i] += f2 * v
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return _F0, ()
+    g = math.gcd(*out)
+    if out[-1] < 0:
+        g = -g
+    return Fraction(g, m), tuple(v // g for v in out)
+
+
+def _ihorner(ints: Ints, a: int, b: int) -> tuple[int, int]:
+    """(acc, b**len(ints)) with acc / b**(len(ints) - 1) the value of the
+    polynomial `ints` at a/b: Horner's rule on ints."""
+    acc, bk = 0, 1
+    for v in reversed(ints):
+        acc = acc * a + v * bk
+        bk *= b
+    return acc, bk
+
+
+def _horner(coeffs: Coeffs, point: "Scalar") -> "Scalar":
+    """Reference evaluation by Horner's rule on Scalars."""
+    acc = ZERO
+    for c in reversed(coeffs):
+        acc = acc * point + Scalar(c)
+    return acc
+
+
 def _pmul_ff(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Same product as `_pmul`, on ints when both factors are long."""
-    if a == _P1:
-        return b
-    if b == _P1:
-        return a
-    if len(a) <= _INT_MUL_CUTOFF or len(b) <= _INT_MUL_CUTOFF:
-        return _pmul(a, b)
+    """Same product as `_pmul`, on ints."""
+    if not a or not b:
+        return ()
     ca, ia = _primitive(a)
     cb, ib = _primitive(b)
     return _from_ints(ca * cb, _imul(ia, ib))
@@ -248,30 +288,30 @@ def _psqrt(a: Coeffs) -> Optional[Coeffs]:
 
 
 class Scalar:
-    """Canonical element of Q(x): a reduced quotient with monic denominator."""
+    """Canonical element of Q(x): a reduced quotient with monic denominator.
 
-    __slots__ = ("_num", "_den")
+    It is held as `c * n / (d / d[-1])` with a Fraction content `c` and int
+    tuples `n` and `d`, each primitive with a positive leading entry (zero is
+    `0 * ()`, a polynomial has `d == (1,)`).  The Fraction coefficient tuples
+    `num_coeffs` and `den_coeffs` are built the first time they are read."""
+
+    __slots__ = ("_c", "_n", "_d", "_nf", "_df")
 
     def __init__(self, value: ScalarLike = 0):
         if isinstance(value, Scalar):
-            object.__setattr__(self, "_num", value._num)
-            object.__setattr__(self, "_den", value._den)
+            _set_c(self, value._c)
+            _set_n(self, value._n)
+            _set_d(self, value._d)
             return
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"cannot build Scalar from {type(value).__name__}")
         f = Fraction(value)
-        object.__setattr__(self, "_num", (f,) if f else ())
-        object.__setattr__(self, "_den", _P1)
+        _set_c(self, f)
+        _set_n(self, _I1 if f else ())
+        _set_d(self, _I1)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Scalar is immutable")
-
-    @classmethod
-    def _raw(cls, num: Coeffs, den: Coeffs) -> "Scalar":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_num", num)
-        object.__setattr__(obj, "_den", den)
-        return obj
 
     @classmethod
     def _make(cls, num: Coeffs, den: Coeffs) -> "Scalar":
@@ -280,15 +320,10 @@ class Scalar:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return cls._raw((), _P1)
-        if len(den) == 1:
-            lc = den[0]
-            return cls._raw(num if lc == 1 else _pscale(num, 1 / lc), _P1)
-        if len(num) >= len(den):
-            quo = _pdiv_exact(num, den)
-            if quo is not None:
-                return cls._raw(quo, _P1)
-        return cls._raw(*_reduce(num, den))
+            return ZERO
+        cn, n = _held(num)
+        cd, d = _held(den)
+        return _reduced(cn / (cd * d[-1]), n, d)
 
     @classmethod
     def coerce(cls, value: ScalarLike) -> "Scalar":
@@ -299,7 +334,7 @@ class Scalar:
     @classmethod
     def poly(cls, coeffs) -> "Scalar":
         """Polynomial from ascending coefficients (ints or Fractions)."""
-        return cls._raw(_trim(Fraction(c) for c in coeffs), _P1)
+        return _raw(*_held(_trim(Fraction(c) for c in coeffs)), _I1)
 
     @classmethod
     def from_ratio(cls, num_coeffs, den_coeffs) -> "Scalar":
@@ -308,53 +343,67 @@ class Scalar:
 
     @classmethod
     def indeterminate(cls) -> "Scalar":
-        return cls._raw((_F0, _F1), _P1)
+        return _raw(_F1, (0, 1), _I1)
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def num_coeffs(self) -> Coeffs:
-        return self._num
+        try:
+            return self._nf
+        except AttributeError:
+            nf = _from_ints(self._c, self._n)
+            _set_nf(self, nf)
+            return nf
 
     @property
     def den_coeffs(self) -> Coeffs:
-        return self._den
+        d = self._d
+        if len(d) == 1:
+            return _P1
+        try:
+            return self._df
+        except AttributeError:
+            df = _from_ints(Fraction(1, d[-1]), d)
+            _set_df(self, df)
+            return df
 
     @property
     def variant(self) -> str:
-        if len(self._den) > 1:
+        if len(self._d) > 1:
             return "rational_function"
-        if len(self._num) > 1:
+        if len(self._n) > 1:
             return "polynomial"
         return "rational"
 
     @property
     def is_rational(self) -> bool:
-        return len(self._num) <= 1 and len(self._den) == 1
+        return len(self._n) <= 1 and len(self._d) == 1
 
     @property
     def is_polynomial(self) -> bool:
-        return len(self._den) == 1
+        return len(self._d) == 1
 
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._n
 
     def is_one(self) -> bool:
-        return self._num == _P1 and self._den == _P1
+        return self._c == 1 and self._n == _I1 and self._d == _I1
 
     @property
     def is_integer(self) -> bool:
-        return self.is_rational and (not self._num or self._num[0].denominator == 1)
+        return self.is_rational and self._c.denominator == 1
 
     @property
     def is_integral(self) -> bool:
         """True when the value is a polynomial with integer coefficients."""
-        return self.is_polynomial and all(c.denominator == 1 for c in self._num)
+        # the ints are primitive, so c * ints is integral exactly when c is
+        return self.is_polynomial and self._c.denominator == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"not a rational value: {self}")
-        return self._num[0] if self._num else _F0
+        return self._c
 
     def as_int(self) -> int:
         f = self.as_fraction()
@@ -366,7 +415,7 @@ class Scalar:
         """Degree of a polynomial value; zero has degree -1."""
         if not self.is_polynomial:
             raise ValueError("degree is defined for polynomial values only")
-        return len(self._num) - 1
+        return len(self._n) - 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -386,11 +435,18 @@ class Scalar:
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
             return _from_fraction(x + y)
-        if self._den == _P1 and other._den == _P1:
-            return Scalar._raw(_padd(self._num, other._num), _P1)
-        return Scalar._make(
-            _padd(_pmul_ff(self._num, other._den), _pmul_ff(other._num, self._den)),
-            _pmul_ff(self._den, other._den))
+        d1, d2 = self._d, other._d
+        if len(d1) == 1 and len(d2) == 1:
+            return _raw(*_iadd(self._c, self._n, other._c, other._n), _I1)
+        # c1*l1*n1/d1 + c2*l2*n2/d2 over d1*d2, whose leading entry is l1*l2
+        l1, l2 = d1[-1], d2[-1]
+        c, n = _iadd(self._c * l1, _imul(self._n, d2), other._c * l2, _imul(other._n, d1))
+        if not n:
+            return ZERO
+        if len(d1) == 1 or len(d2) == 1:
+            # n1/d1 + p = (n1 + p*d1)/d1 is reduced when n1/d1 is
+            return _raw(c / (l1 * l2), n, d2 if len(d1) == 1 else d1)
+        return _reduced(c / (l1 * l2), n, tuple(_imul(d1, d2)))
 
     __radd__ = __add__
 
@@ -410,19 +466,13 @@ class Scalar:
         return other.__add__(-self)
 
     def __neg__(self):
-        return Scalar._raw(_pneg(self._num), self._den)
+        return _raw(-self._c, self._n, self._d)
 
     def __mul__(self, other):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        x, y = _rational_value(self), _rational_value(other)
-        if x is not None and y is not None:
-            return _from_fraction(x * y)
-        if self._den == _P1 and other._den == _P1:
-            return Scalar._raw(_pmul_ff(self._num, other._num), _P1)
-        return Scalar._make(_pmul_ff(self._num, other._num),
-                            _pmul_ff(self._den, other._den))
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -435,8 +485,7 @@ class Scalar:
         x, y = _rational_value(self), _rational_value(other)
         if x is not None and y is not None:
             return _from_fraction(x / y)
-        return Scalar._make(_pmul_ff(self._num, other._den),
-                            _pmul_ff(self._den, other._num))
+        return _mul(self, other.inverse())
 
     def __rtruediv__(self, other):
         other = self._coerce_other(other)
@@ -450,7 +499,9 @@ class Scalar:
         x = _rational_value(self)
         if x is not None:
             return _from_fraction(1 / x)
-        return Scalar._make(self._den, self._num)
+        # 1 / (c*l*n/d) = d / (c*l*n), reduced because n/d is
+        n, d = self._n, self._d
+        return _raw(1 / (self._c * d[-1] * n[-1]), d, n)
 
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
@@ -465,21 +516,25 @@ class Scalar:
     def evaluate(self, point: ScalarLike) -> "Scalar":
         """Substitute `point` for the indeterminate."""
         point = Scalar.coerce(point)
-
-        def horner(coeffs: Coeffs) -> Scalar:
-            acc = ZERO
-            for c in reversed(coeffs):
-                acc = acc * point + Scalar(c)
-            return acc
-
-        return horner(self._num) / horner(self._den)
+        x = _rational_value(point)
+        if x is None:
+            return _horner(self.num_coeffs, point) / _horner(self.den_coeffs, point)
+        # c*l*n(a/b) / d(a/b), each side scaled by b to its length
+        a, b = x.numerator, x.denominator
+        num, bn = _ihorner(self._n, a, b)
+        den, bd = _ihorner(self._d, a, b)
+        if not den:
+            raise ZeroDivisionError("division by zero scalar")
+        c = self._c
+        return _from_fraction(Fraction(c.numerator * self._d[-1] * num * bd,
+                                       c.denominator * den * bn))
 
     def sqrt_if_square(self) -> Optional["Scalar"]:
         """Exact square root within the field, or None."""
-        rn = _psqrt(self._num)
+        rn = _psqrt(self.num_coeffs)
         if rn is None:
             return None
-        rd = _psqrt(self._den)
+        rd = _psqrt(self.den_coeffs)
         if rd is None:
             return None
         return Scalar._make(rn, rd)
@@ -487,25 +542,25 @@ class Scalar:
     # -- misc protocol ------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._c == other._c and self._n == other._n and self._d == other._d
 
     def __hash__(self):
         if self.is_rational:
-            return hash(self.as_fraction())
-        return hash((self._num, self._den))
+            return hash(self._c)
+        return hash((self.num_coeffs, self.den_coeffs))
 
     def __str__(self) -> str:
         if self.is_rational:
-            return str(self.as_fraction())
+            return str(self._c)
         if self.is_polynomial:
-            return _poly_str(self._num)
-        return f"({_poly_str(self._num)})/({_poly_str(self._den)})"
+            return _poly_str(self.num_coeffs)
+        return f"({_poly_str(self.num_coeffs)})/({_poly_str(self.den_coeffs)})"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -515,11 +570,11 @@ class Scalar:
     def to_json(self):
         """JSON-friendly form: string, coefficient list, or {num, den} dict."""
         if self.is_rational:
-            return str(self.as_fraction())
+            return str(self._c)
         if self.is_polynomial:
-            return [str(c) for c in self._num]
-        return {"num": [str(c) for c in self._num],
-                "den": [str(c) for c in self._den]}
+            return [str(c) for c in self.num_coeffs]
+        return {"num": [str(c) for c in self.num_coeffs],
+                "den": [str(c) for c in self.den_coeffs]}
 
     @classmethod
     def from_json(cls, obj) -> "Scalar":
@@ -566,21 +621,70 @@ def _power(base, exponent: int, one):
     return result
 
 
+# slot setters bound once: they skip the immutability guard, and a Scalar is
+# built faster through them than through object.__setattr__
+_set_c, _set_n, _set_d, _set_nf, _set_df = (getattr(Scalar, name).__set__
+                                            for name in Scalar.__slots__)
+_new = object.__new__
+
+
+def _raw(c: Fraction, n: Ints, d: Ints) -> Scalar:
+    obj = _new(Scalar)
+    _set_c(obj, c)
+    _set_n(obj, n)
+    _set_d(obj, d)
+    return obj
+
+
+def _reduced(c: Fraction, n: Ints, d: Ints) -> Scalar:
+    """c * n / (d / d[-1]) in canonical form, for nonzero c and primitive n
+    and d with positive leading entries."""
+    if len(d) == 1:
+        return _raw(c, n, _I1)
+    if len(n) >= len(d):
+        quo = _idivexact(n, d)
+        if quo is not None:
+            return _raw(c * d[-1], tuple(quo), _I1)
+    # Euclid over Q finds the common factor; by Gauss's lemma its primitive
+    # part divides n and d exactly on ints
+    g = _pgcd(_from_ints(_F1, n), _from_ints(_F1, d))
+    if len(g) == 1:
+        return _raw(c, n, d)
+    g = _held(g)[1]
+    n2, d2 = tuple(_idivexact(n, g)), tuple(_idivexact(d, g))
+    return _raw(c * d[-1] / d2[-1], n2, d2)
+
+
+def _mul(a: Scalar, b: Scalar) -> Scalar:
+    """a * b on the held forms: a product of contents and of int tuples."""
+    x, y = _rational_value(a), _rational_value(b)
+    if x is not None:
+        if y is not None:
+            return _from_fraction(x * y)
+        a, b, y = b, a, x
+    if y is not None:
+        return _raw(a._c * y, a._n, a._d) if y else ZERO
+    n = tuple(_imul(a._n, b._n))
+    if len(a._d) == 1 and len(b._d) == 1:
+        return _raw(a._c * b._c, n, _I1)
+    return _reduced(a._c * b._c, n, tuple(_imul(a._d, b._d)))
+
+
 def _rational_value(v: Scalar) -> Optional[Fraction]:
     """The value of a rational Scalar (a monic constant denominator is 1), else None."""
-    if len(v._num) <= 1 and len(v._den) == 1:
-        return v._num[0] if v._num else _F0
+    if len(v._n) <= 1 and len(v._d) == 1:
+        return v._c
     return None
 
 
 def _from_fraction(f: Fraction) -> Scalar:
-    return Scalar._raw((f,) if f else (), _P1)
+    return _raw(f, _I1 if f else (), _I1)
 
 
 def _from_int(n: int) -> Scalar:
     # an int wrapped once, with no Fraction operator dispatch or gcd: `lift`
     # reads every held int through here
-    return Scalar._raw((Fraction(n),) if n else (), _P1)
+    return _raw(Fraction(n), _I1 if n else (), _I1)
 
 
 def _poly_str(coeffs: Coeffs) -> str:

@@ -1,4 +1,5 @@
-"""The integer kernels of the ring against the Fraction reference route."""
+"""The integer kernels of the ring, and the held form of `Scalar` (a content
+times primitive int tuples), against the Fraction reference route."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbinom.ring import (_P1, ONE, ZERO, Scalar, _padd, _pdiv_exact, _pdivmod,
-                         _pmul, _pmul_ff, _power, _primitive, _reduce, _trim)
+from hbinom.ring import (_P1, ONE, ZERO, Scalar, _horner, _padd, _pdiv_exact,
+                         _pdivmod, _pmul, _pmul_ff, _poly_str, _power, _primitive,
+                         _psqrt, _reduce, _trim)
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 polys = st.lists(fracs, max_size=7).map(_trim)
@@ -169,3 +171,136 @@ def test_cancel_matches_sympy(p, d, g):
     lc = sd.LC()
     assert v.num_coeffs == _sympy_coeffs(sn, lc)
     assert v.den_coeffs == _sympy_coeffs(sd, lc)
+
+
+# ---------------------------------------------------------------------------
+# the held form: every Scalar operation against the Fraction reference
+
+def _ratio(num, den):
+    """A Scalar from raw Fraction tuples, and its reference (num, den)."""
+    ref = _reference_make(num, den)
+    return Scalar.from_ratio(num, den), ref
+
+
+ratfuncs = st.builds(_ratio, polys, nonzero_polys)
+# a polynomial, or a rational function whose denominator has a root
+ratfuncs_or_polys = st.one_of(polys.map(lambda p: _ratio(p, _P1)), ratfuncs)
+
+
+def _expected_forms(num, den):
+    """to_json, str and hash of the value num/den, rendered from the Fraction
+    tuples as the Scalar of Fraction coefficient tuples did."""
+    if len(num) <= 1 and den == _P1:
+        value = num[0] if num else Fraction(0)
+        return str(value), str(value), hash(value)
+    text = [str(c) for c in num]
+    if den == _P1:
+        return text, _poly_str(num), hash((num, den))
+    return ({"num": text, "den": [str(c) for c in den]},
+            f"({_poly_str(num)})/({_poly_str(den)})", hash((num, den)))
+
+
+def _check_held(v: Scalar, ref) -> None:
+    num, den = ref
+    assert (v.num_coeffs, v.den_coeffs) == (num, den)
+    assert all(type(c) is Fraction for c in v.num_coeffs + v.den_coeffs)
+    assert (v.to_json(), str(v), hash(v)) == _expected_forms(num, den)
+    # canonical: primitive int tuples with positive leading entries, the
+    # sign and the scale in the content; zero is 0 * ()
+    for ints in (v._n, v._d):
+        assert all(type(i) is int for i in ints)
+        if ints:
+            assert gcd(*ints) == 1 and ints[-1] > 0
+    assert v._d[-1] > 0 and (len(v._d) == 1) == (den == _P1)
+    assert (v._n == ()) == (not num) == (v._c == 0)
+    # equal to the same value built from the reference tuples
+    rebuilt = Scalar.from_ratio(num, den)
+    assert v == rebuilt and hash(v) == hash(rebuilt)
+
+
+def _ref_mul(a, b):
+    return _reference_make(_pmul(a[0], b[0]), _pmul(a[1], b[1]))
+
+
+def _ref_add(a, b):
+    return _reference_make(_padd(_pmul(a[0], b[1]), _pmul(b[0], a[1])), _pmul(a[1], b[1]))
+
+
+@given(ratfuncs_or_polys, ratfuncs_or_polys)
+@settings(max_examples=120, deadline=None)
+def test_held_arithmetic_matches_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    _check_held(a, ra)
+    neg_b = (tuple(-c for c in rb[0]), rb[1])
+    _check_held(-b, neg_b)
+    _check_held(a + b, _ref_add(ra, rb))
+    _check_held(a - b, _ref_add(ra, neg_b))
+    _check_held(a * b, _ref_mul(ra, rb))
+    if rb[0]:
+        _check_held(a / b, _ref_mul(ra, (rb[1], rb[0])))
+        _check_held(b.inverse(), _reference_make(rb[1], rb[0]))
+
+
+@given(ratfuncs_or_polys, st.integers(-2, 3))
+@settings(max_examples=40, deadline=None)
+def test_held_power_matches_reference(x, k):
+    a, ra = x
+    if not ra[0] and k < 0:
+        return
+    num, den = (ra[1], ra[0]) if k < 0 else ra
+    ref = (_P1, _P1)
+    for _ in range(abs(k)):
+        ref = _ref_mul(ref, (num, den))
+    _check_held(a ** k, ref)
+
+
+@given(ratfuncs_or_polys, ratfuncs_or_polys)
+@settings(max_examples=60, deadline=None)
+def test_held_sqrt_matches_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    for v, (num, den) in ((a, ra), (b * b, _ref_mul(rb, rb))):
+        rn, rd = _psqrt(num), _psqrt(den)
+        got = v.sqrt_if_square()
+        if rn is None or rd is None:
+            assert got is None
+        else:
+            _check_held(got, _reference_make(rn, rd))
+
+
+@given(ratfuncs_or_polys, st.one_of(rationals, st.fractions(max_denominator=2**40)))
+@settings(max_examples=120, deadline=None)
+def test_integer_horner_matches_scalar_horner(x, point):
+    a, (num, den) = x
+    p = Scalar(point)
+    den_at = _horner(den, p)
+    if not den_at:
+        with pytest.raises(ZeroDivisionError):
+            a.evaluate(point)
+        return
+    want = _horner(num, p) / den_at
+    got = a.evaluate(point)
+    _check_held(got, (want.num_coeffs, want.den_coeffs))
+    assert got == a.evaluate(p)
+
+
+@given(polys, polys, nonzero_polys)
+@settings(max_examples=60, deadline=None)
+def test_equal_values_by_different_routes_agree(p, q, d):
+    routes = [
+        (Scalar.poly(_pmul(p, q)), Scalar.poly(p) * Scalar.poly(q)),
+        (Scalar.from_ratio(_pmul(p, d), _pmul(q or _P1, d)),
+         Scalar.poly(p) / Scalar.poly(q or _P1)),
+        (Scalar.from_ratio(p, d) + Scalar.poly(q),
+         Scalar.from_ratio(_padd(p, _pmul(q, d)), d)),
+    ]
+    for u, v in routes:
+        assert u == v and hash(u) == hash(v)
+        assert (u._c, u._n, u._d) == (v._c, v._n, v._d)
+        assert u.to_json() == v.to_json() and str(u) == str(v)
+
+
+def test_evaluate_at_a_polynomial_point_takes_the_scalar_route():
+    x = Scalar.indeterminate()
+    v = Scalar.from_ratio([1, 0, 1], [Fraction(-1, 2), 1])
+    assert v.evaluate(x * x) == (x ** 4 + 1) / (x * x - Fraction(1, 2))
+    assert v.evaluate(x) == v
