@@ -9,8 +9,9 @@ without its `generated_at`) and stderr, as sorted JSON, and the sha256 of each
 triangle cache file that the cached cases write in a temporary directory.
 Two versions agree when their files are byte-identical.  The cases mix int
 and Fraction values (rational specs with integral and non-integral entries),
-polynomial cells, closed-form pairs on split fractional and polynomial roots,
-and the default suite.
+polynomial cells (some with fractional contents), rational-function cells,
+closed-form pairs on split fractional and polynomial roots, and the default
+suite.
 """
 
 from __future__ import annotations
@@ -38,11 +39,15 @@ CLOSED_FORM_SPECS = {
     "cigler_qfib": (("--preset", "cigler_qfib"), "8"),
 }
 
+# U(x, -17/28): polynomial cells whose contents have denominators
+U_X_FRACTIONAL_T = json.dumps({"a": "0", "b": "1", "s": ["0", "1"], "t": "-17/28"})
+
 # triangles whose cache a cold and a warm pass share: Fraction cells, and
 # polynomial and rational-function cells, whose records hold lists and dicts
 CACHED = {
     "fractional": ("--spec", FRACTIONAL, "--max-n", "12"),
     "cigler_qlucas": ("--preset", "cigler_qlucas", "--max-n", "8"),
+    "cigler_qlucas_fractional_t": ("--preset", "cigler_qlucas", "--t=-17/28", "--max-n", "8"),
 }
 
 CASES = {
@@ -61,6 +66,8 @@ CASES = {
                                           f"{{tmp}}/{name}.jsonl")
        for name, args in CACHED.items() for pass_ in ("cold", "warm")},
     "triangle_cigler_qfib": ("triangle", "--preset", "cigler_qfib", "--max-n", "10"),
+    "triangle_u_x_fractional_t": ("triangle", "--spec", U_X_FRACTIONAL_T, "--max-n", "18",
+                                  "--format", "csv"),
     **{f"triangle_cigler_qlucas_{fmt}": ("triangle", "--preset", "cigler_qlucas",
                                          "--max-n", "8", "--format", fmt)
        for fmt in ("text", "json")},
