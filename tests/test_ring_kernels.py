@@ -182,8 +182,9 @@ def _ratio(num, den):
     return Scalar.from_ratio(num, den), ref
 
 
+# polynomials, and quotients of two random polynomials, which reduce to
+# rationals, polynomials or rational functions
 ratfuncs = st.builds(_ratio, polys, nonzero_polys)
-# a polynomial, or a rational function whose denominator has a root
 ratfuncs_or_polys = st.one_of(polys.map(lambda p: _ratio(p, _P1)), ratfuncs)
 
 
