@@ -3,7 +3,8 @@ JSONL cache, identity verification, oracle queries, and the whole suite.
 
 Exit codes: 0 success, 1 verification failure, a coefficient pair that breaks
 its scalar identity, or a zero divisor hit during computation, 2 usage or
-configuration errors, including a sequence a family cannot be built for.
+configuration errors, including a sequence a family cannot be built for
+and a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -176,24 +177,27 @@ def load_cache(path: str) -> dict[tuple[str, int, int], object]:
     cache: dict[tuple[str, int, int], object] = {}
     if not os.path.exists(path):
         return cache
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                break
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = _decode_line(line)
-                spec_hash, n, k = rec["spec_hash"], rec["n"], rec["k"]
-                value = rec["value"]
-                if not (type(n) is int and type(k) is int and type(spec_hash) is str
-                        and type(value) in (str, list, dict)):
-                    raise ValueError("n and k must be integers, spec_hash a string, "
-                                     "and value a string, a list or an object")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad cache line {lineno} in {path}: {exc}") from exc
-            cache[(spec_hash, n, k)] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith("\n"):
+                    break
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = _decode_line(line)
+                    spec_hash, n, k = rec["spec_hash"], rec["n"], rec["k"]
+                    value = rec["value"]
+                    if not (type(n) is int and type(k) is int and type(spec_hash) is str
+                            and type(value) in (str, list, dict)):
+                        raise ValueError("n and k must be integers, spec_hash a string, "
+                                         "and value a string, a list or an object")
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad cache line {lineno} in {path}: {exc}") from exc
+                cache[(spec_hash, n, k)] = value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read cache {path}: {exc}") from exc
     return cache
 
 
@@ -219,16 +223,19 @@ def append_cache(path: str, records: list[dict]) -> None:
         return
     payload = _encode_records(records).encode()
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "a+b") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        if fh.seek(0, os.SEEK_END):
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                fh.seek(0)
-                fh.truncate(fh.read().rfind(b"\n") + 1)
-        fh.write(payload)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write cache {path}: {exc}") from exc
 
 
 def _cell_json(value):
@@ -462,12 +469,16 @@ class SuiteConfig:
         for key in ("specs", "families", "oracles"):
             if key in obj and not isinstance(obj[key], list):
                 raise ConfigError(f"{key} must be a list")
+            if key != "specs" and not all(isinstance(v, str) for v in obj.get(key, ())):
+                raise ConfigError(f"each {key} entry must be a string")
 
         specs = []
         for entry in obj.get("specs", []):
-            if not isinstance(entry, dict) or "name" not in entry:
-                raise ConfigError("each spec entry needs a name")
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise ConfigError("each spec entry needs a name, a string")
             name = entry["name"]
+            if not isinstance(entry.get("preset", ""), str):
+                raise ConfigError(f"spec {name!r}: preset must be a string")
             if "preset" in entry:
                 s = _scalar_from_text(entry["s"]) if "s" in entry else None
                 t = _scalar_from_text(entry["t"]) if "t" in entry else None
@@ -721,8 +732,8 @@ def cmd_suite(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         config = SuiteConfig.from_dict(obj)
@@ -740,8 +751,11 @@ def cmd_suite(args) -> int:
     report = run_suite(config)
     out = report.to_json() + "\n" if config.format == "json" else report.to_text() + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(out)
     return 0 if report.all_ok else 1

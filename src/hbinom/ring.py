@@ -4,9 +4,10 @@ A :class:`Scalar` is a quotient of univariate polynomials with rational
 coefficients, kept in a canonical form (monic denominator, reduced, no
 trailing zero coefficients).  Plain rationals and polynomials are the
 ``den == 1`` special cases, so the three kinds mix freely and arithmetic
-never leaves the field.  No floating point anywhere.  Each side is held as a
-rational content times a primitive int tuple, so products and exact quotients
-run on ints and build no Fraction per coefficient.
+never leaves the field.  No floating point anywhere.  A value stores one
+form: a rational content times primitive int tuples, so products and exact
+quotients run on ints.  Its Fraction coefficient tuples are built from that
+form whenever something reads them, and never kept.
 
 A :class:`QuadExt` is an element ``alpha + beta*sqrt(disc)`` of the quadratic
 extension of that field by a fixed discriminant.  The discriminant is carried
@@ -89,7 +90,7 @@ def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
         return (), a
     rem = list(a)
     quo = [_F0] * (len(a) - len(b) + 1)
-    inv_lc = 1 / b[-1]
+    inv_lc = _F1 / b[-1]
     for shift in range(len(a) - len(b), -1, -1):
         factor = rem[shift + len(b) - 1] * inv_lc
         if factor != 0:
@@ -100,11 +101,12 @@ def _pdivmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
 
 
 def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Monic gcd over Q, as Fractions; `a` and `b` may also be int tuples."""
     while b:
         a, b = b, _pdivmod(a, b)[1]
     if not a:
         return ()
-    return _pscale(a, 1 / a[-1])
+    return _pscale(a, _F1 / a[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -113,33 +115,23 @@ def _pgcd(a: Coeffs, b: Coeffs) -> Coeffs:
 # integer coefficients; so a Scalar holds each polynomial as a rational
 # content times a primitive int tuple, and products and exact quotients run
 # on plain ints.  The Fraction helpers above stay as the reference route the
-# tests compare against, and as the route for gcds.
+# tests compare against; `_pgcd` also runs Euclid on the held ints.
 
 Ints = tuple[int, ...]
 _I1: Ints = (1,)
 
 
-def _primitive(coeffs: Coeffs) -> tuple[Fraction, list[int]]:
-    """(content, ints) with coeffs == content * ints and gcd(ints) == 1.
-
-    `coeffs` must have a nonzero entry; the content is positive."""
+def _held(coeffs: Coeffs) -> tuple[Fraction, Ints]:
+    """The held form of trimmed coefficients: coeffs == content * ints with
+    gcd(ints) == 1 and a positive leading int; zero is (0, ())."""
+    if not coeffs:
+        return _F0, ()
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = math.gcd(*ints)
-    if g != 1:
-        ints = [v // g for v in ints]
-    return Fraction(g, den), ints
-
-
-def _held(coeffs: Coeffs) -> tuple[Fraction, Ints]:
-    """The held form of trimmed coefficients: a content and a primitive int
-    tuple whose leading entry is positive; zero is (0, ())."""
-    if not coeffs:
-        return _F0, ()
-    content, ints = _primitive(coeffs)
     if ints[-1] < 0:
-        return -content, tuple(-v for v in ints)
-    return content, tuple(ints)
+        g = -g
+    return Fraction(g, den), tuple(v // g for v in ints)
 
 
 def _from_ints(content: Fraction, ints: Sequence[int]) -> Coeffs:
@@ -215,25 +207,6 @@ def _horner(coeffs: Coeffs, point: "Scalar") -> "Scalar":
     return acc
 
 
-def _pmul_ff(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Same product as `_pmul`, on ints."""
-    if not a or not b:
-        return ()
-    ca, ia = _primitive(a)
-    cb, ib = _primitive(b)
-    return _from_ints(ca * cb, _imul(ia, ib))
-
-
-def _pdiv_exact(a: Coeffs, b: Coeffs) -> Optional[Coeffs]:
-    """a / b when b divides a over Q, else None.  Both must be nonzero."""
-    ca, ia = _primitive(a)
-    cb, ib = _primitive(b)
-    quo = _idivexact(ia, ib)
-    if quo is None:
-        return None
-    return _from_ints(ca / cb, quo)
-
-
 def _reduce(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     """Reference canonical form of a nonzero num/den: cancel the Euclidean
     gcd over Q, then make the denominator monic."""
@@ -292,10 +265,11 @@ class Scalar:
 
     It is held as `c * n / (d / d[-1])` with a Fraction content `c` and int
     tuples `n` and `d`, each primitive with a positive leading entry (zero is
-    `0 * ()`, a polynomial has `d == (1,)`).  The Fraction coefficient tuples
-    `num_coeffs` and `den_coeffs` are built the first time they are read."""
+    `0 * ()`, a polynomial has `d == (1,)`).  That is all it stores: the
+    Fraction coefficient tuples `num_coeffs` and `den_coeffs` are built from
+    it on each read."""
 
-    __slots__ = ("_c", "_n", "_d", "_nf", "_df")
+    __slots__ = ("_c", "_n", "_d")
 
     def __init__(self, value: ScalarLike = 0):
         if isinstance(value, Scalar):
@@ -349,24 +323,12 @@ class Scalar:
 
     @property
     def num_coeffs(self) -> Coeffs:
-        try:
-            return self._nf
-        except AttributeError:
-            nf = _from_ints(self._c, self._n)
-            _set_nf(self, nf)
-            return nf
+        return _from_ints(self._c, self._n)
 
     @property
     def den_coeffs(self) -> Coeffs:
         d = self._d
-        if len(d) == 1:
-            return _P1
-        try:
-            return self._df
-        except AttributeError:
-            df = _from_ints(Fraction(1, d[-1]), d)
-            _set_df(self, df)
-            return df
+        return _P1 if len(d) == 1 else _from_ints(Fraction(1, d[-1]), d)
 
     @property
     def variant(self) -> str:
@@ -623,8 +585,7 @@ def _power(base, exponent: int, one):
 
 # slot setters bound once: they skip the immutability guard, and a Scalar is
 # built faster through them than through object.__setattr__
-_set_c, _set_n, _set_d, _set_nf, _set_df = (getattr(Scalar, name).__set__
-                                            for name in Scalar.__slots__)
+_set_c, _set_n, _set_d = (getattr(Scalar, name).__set__ for name in Scalar.__slots__)
 _new = object.__new__
 
 
@@ -647,7 +608,7 @@ def _reduced(c: Fraction, n: Ints, d: Ints) -> Scalar:
             return _raw(c * d[-1], tuple(quo), _I1)
     # Euclid over Q finds the common factor; by Gauss's lemma its primitive
     # part divides n and d exactly on ints
-    g = _pgcd(_from_ints(_F1, n), _from_ints(_F1, d))
+    g = _pgcd(n, d)
     if len(g) == 1:
         return _raw(c, n, d)
     g = _held(g)[1]
@@ -659,8 +620,6 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     """a * b on the held forms: a product of contents and of int tuples."""
     x, y = _rational_value(a), _rational_value(b)
     if x is not None:
-        if y is not None:
-            return _from_fraction(x * y)
         a, b, y = b, a, x
     if y is not None:
         return _raw(a._c * y, a._n, a._d) if y else ZERO

@@ -602,3 +602,57 @@ def test_suite_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["summary"]["fail"] == 0
+
+
+# -- unreadable and unwritable files ----------------------------------------
+
+
+def _one_error_line(err: str, path) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert str(path) in err
+
+
+def test_suite_config_not_utf8_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "suite", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    _one_error_line(err, config_path)
+
+
+def test_suite_out_directory_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(SMALL_CONFIG, oracles=[],
+                                           families=["hu_sun"])))
+    code, out, err = run_cli(capsys, "suite", "--config", str(config_path),
+                             "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    _one_error_line(err, tmp_path)
+
+
+def test_triangle_cache_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "triangle", "--preset", "fibonacci",
+                             "--max-n", "3", "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    _one_error_line(err, tmp_path)
+
+
+def test_triangle_cache_not_utf8_exits_2(tmp_path, capsys):
+    cache = tmp_path / "tri.jsonl"
+    cache.write_bytes(b"\xff\n")
+    code, out, err = run_cli(capsys, "triangle", "--preset", "fibonacci",
+                             "--max-n", "3", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    _one_error_line(err, cache)
+    assert cache.read_bytes() == b"\xff\n"
+
+
+def test_triangle_cache_under_a_regular_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cache = afile / "t.jsonl"
+    code, out, err = run_cli(capsys, "triangle", "--preset", "fibonacci",
+                             "--max-n", "3", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    _one_error_line(err, cache)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbinom.ring import (_P1, ONE, ZERO, Scalar, _horner, _padd, _pdiv_exact,
-                         _pdivmod, _pmul, _pmul_ff, _poly_str, _power, _primitive,
-                         _psqrt, _reduce, _trim)
+from hbinom.ring import (_P1, ONE, ZERO, Scalar, _from_ints, _held, _horner,
+                         _idivexact, _imul, _padd, _pdivmod, _pgcd, _pmul,
+                         _poly_str, _power, _psqrt, _reduce, _trim)
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 polys = st.lists(fracs, max_size=7).map(_trim)
@@ -18,26 +18,40 @@ nonzero_polys = polys.filter(bool)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
+def _ints_of(coeffs):
+    return _held(coeffs)[1]
+
+
 @given(nonzero_polys)
 @settings(max_examples=60, deadline=None)
 def test_primitive_part(a):
-    content, ints = _primitive(a)
-    assert content > 0
-    assert all(isinstance(v, int) for v in ints)
+    content, ints = _held(a)
+    assert type(content) is Fraction and content != 0
+    assert all(type(v) is int for v in ints)
     assert tuple(content * v for v in ints) == a
-    assert gcd(*ints) == 1
+    assert gcd(*ints) == 1 and ints[-1] > 0
+    assert _from_ints(content, ints) == a
+
+
+def test_held_zero():
+    assert _held(()) == (0, ())
 
 
 @given(polys, polys)
 @settings(max_examples=60, deadline=None)
-def test_pmul_matches_reference(a, b):
-    assert _pmul_ff(a, b) == _pmul(a, b)
+def test_imul_matches_reference(a, b):
+    (ca, ia), (cb, ib) = _held(a), _held(b)
+    assert _trim(_from_ints(ca * cb, _imul(ia, ib))) == _pmul(a, b)
+    if a and b:
+        # Gauss's lemma: a product of primitive parts is primitive
+        prod = _imul(ia, ib)
+        assert gcd(*prod) == 1 and prod[-1] > 0
 
 
 @given(nonzero_polys, nonzero_polys)
 @settings(max_examples=60, deadline=None)
 def test_exact_division_of_products(q, b):
-    assert _pdiv_exact(_pmul(q, b), b) == q
+    assert _idivexact(_ints_of(_pmul(q, b)), _ints_of(b)) == list(_ints_of(q))
 
 
 @given(nonzero_polys, nonzero_polys, nonzero_polys)
@@ -49,14 +63,70 @@ def test_inexact_division_is_refused(q, b, r):
     if not _trim(r):
         return
     # deg r < deg b and r != 0, so b does not divide q*b + r
-    assert _pdiv_exact(_padd(_pmul(q, b), r), b) is None
+    assert _idivexact(_ints_of(_padd(_pmul(q, b), r)), _ints_of(b)) is None
 
 
 @given(nonzero_polys, nonzero_polys)
 @settings(max_examples=60, deadline=None)
 def test_exact_division_agrees_with_divmod(a, b):
     quo, rem = _pdivmod(a, b)
-    assert _pdiv_exact(a, b) == (None if rem else quo)
+    (ca, ia), (cb, ib) = _held(a), _held(b)
+    got = _idivexact(ia, ib)
+    if rem:
+        assert got is None
+    else:
+        assert _from_ints(ca / cb, got) == quo
+
+
+int_polys = st.lists(st.integers(-30, 30), max_size=6).map(_trim)
+nonzero_int_polys = int_polys.filter(bool)
+
+
+def _check_int_gcd(a, b):
+    """`_pgcd` on int tuples gives the Fractions it gives on the same values
+    as Fractions, and no float on the way."""
+    got = _pgcd(a, b)
+    assert got == _pgcd(tuple(map(Fraction, a)), tuple(map(Fraction, b)))
+    assert all(type(c) is Fraction for c in got)
+    if b:
+        for part in _pdivmod(a, b):
+            assert all(type(c) in (int, Fraction) for c in part)
+    return got
+
+
+@given(int_polys, int_polys)
+@settings(max_examples=80, deadline=None)
+def test_int_gcd_matches_fraction_gcd(a, b):
+    _check_int_gcd(a, b)
+
+
+@given(nonzero_int_polys, nonzero_int_polys, nonzero_int_polys)
+@settings(max_examples=60, deadline=None)
+def test_int_gcd_finds_a_common_factor(g, p, q):
+    got = _check_int_gcd(_imul(g, p), _imul(g, q))
+    # g divides the gcd over Q
+    assert not _pdivmod(got, tuple(map(Fraction, g)))[1]
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # n divides d with deg n < deg d: 2 + 3x divides (2 + 3x)(1 + 5x^2)
+    ((2, 3), (2, 3, 10, 15), (Fraction(2, 3), Fraction(1))),
+    ((2, 3, 10, 15), (2, 3), (Fraction(2, 3), Fraction(1))),
+    # coprime: the gcd is the constant 1
+    ((1, 1), (1, 0, 1), (Fraction(1),)),
+    ((7,), (1, 0, 3), (Fraction(1),)),
+    ((), (4, 2), (Fraction(2), Fraction(1))),
+])
+def test_int_gcd_cases(a, b, want):
+    assert _check_int_gcd(a, b) == want
+
+
+def test_scalar_stores_only_the_held_form():
+    assert Scalar.__slots__ == ("_c", "_n", "_d")
+    v = Scalar.from_ratio([1, Fraction(1, 2)], [3, 0, 1])
+    # the coefficient tuples are rebuilt on each read, equal every time
+    assert v.num_coeffs == v.num_coeffs and v.num_coeffs is not v.num_coeffs
+    assert v.den_coeffs == v.den_coeffs and v.den_coeffs is not v.den_coeffs
 
 
 def _reference_make(num, den):

@@ -25,7 +25,13 @@ def _suite(capsys, tmp_path, config: dict):
     ({"families": "binet"}, "families must be a list"),
     ({"oracles": "addition"}, "oracles must be a list"),
     ({"specs": FIB}, "specs must be a list"),
-], ids=["max_n_true", "max_n_false", "families_string", "oracles_string", "specs_object"])
+    ({"specs": [{"name": "x", "preset": 5}]}, "spec 'x': preset must be a string"),
+    ({"specs": [{"name": ["x"], "preset": "fibonacci"}]},
+     "each spec entry needs a name, a string"),
+    ({"oracles": [["a"]]}, "each oracles entry must be a string"),
+    ({"families": [["gould"]]}, "each families entry must be a string"),
+], ids=["max_n_true", "max_n_false", "families_string", "oracles_string", "specs_object",
+        "preset_int", "name_list", "oracle_list", "family_list"])
 def test_values_of_the_wrong_kind_exit_2(capsys, tmp_path, entry, message):
     config = {"specs": [FIB], "max_n": 4, "oracles": [], **entry}
     with pytest.raises(ConfigError, match=message):

@@ -10,8 +10,8 @@ triangle cache file that the cached cases write in a temporary directory.
 Two versions agree when their files are byte-identical.  The cases mix int
 and Fraction values (rational specs with integral and non-integral entries),
 polynomial cells (some with fractional contents), rational-function cells,
-closed-form pairs on split fractional and polynomial roots, and the default
-suite.
+closed-form pairs on split fractional and polynomial roots, Pascal checks
+whose cells cancel a polynomial gcd, and the default suite.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ CACHED = {
     "cigler_qlucas_fractional_t": ("--preset", "cigler_qlucas", "--t=-17/28", "--max-n", "8"),
 }
 
+# rational-function cells with fractional contents: each check cancels the
+# Euclidean gcd of a cell's held int tuples
+EUCLID_FAMILIES = ("gould", "binet")
+
 CASES = {
     "suite_default_text": ("suite",),
     "suite_default_json": ("suite", "--format", "json"),
@@ -78,6 +82,10 @@ CASES = {
                                    "--format", "json")
        for name, (args, max_n) in CLOSED_FORM_SPECS.items()
        for family in ("binet", "alternating")},
+    **{f"verify_{family}_cigler_qlucas_fractional_t": (
+        "verify", *CACHED["cigler_qlucas_fractional_t"], "--family", family,
+        "--format", "json")
+       for family in EUCLID_FAMILIES},
 }
 
 
