@@ -50,10 +50,6 @@ CACHED = {
     "cigler_qlucas_fractional_t": ("--preset", "cigler_qlucas", "--t=-17/28", "--max-n", "8"),
 }
 
-# rational-function cells with fractional contents: each check cancels the
-# Euclidean gcd of a cell's held int tuples
-EUCLID_FAMILIES = ("gould", "binet")
-
 CASES = {
     "suite_default_text": ("suite",),
     "suite_default_json": ("suite", "--format", "json"),
@@ -82,10 +78,12 @@ CASES = {
                                    "--format", "json")
        for name, (args, max_n) in CLOSED_FORM_SPECS.items()
        for family in ("binet", "alternating")},
+    # rational-function cells with fractional contents: each check cancels
+    # the Euclidean gcd of a cell's held int tuples
     **{f"verify_{family}_cigler_qlucas_fractional_t": (
         "verify", *CACHED["cigler_qlucas_fractional_t"], "--family", family,
         "--format", "json")
-       for family in EUCLID_FAMILIES},
+       for family in ("gould", "binet")},
 }
 
 
