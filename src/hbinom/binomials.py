@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Union
 
 from . import oracles
-from .ring import ONE, ZERO, Scalar, ScalarLike, lift, ndiv
+from .ring import ONE, ZERO, Frozen, Scalar, ScalarLike, lift, ndiv
 from .sequences import HoradamSpec, context, preset
 
 SequenceLike = Union[HoradamSpec, Callable[[int], ScalarLike]]
@@ -158,10 +157,10 @@ def fmultinomial(seq: SequenceLike, parts: Iterable[int]) -> Scalar:
     return table_for(seq).multinomial(parts)
 
 
-@dataclass(frozen=True)
-class MultinomialCheck:
+class MultinomialCheck(Frozen):
     """Two consistency identities tying multinomials to binomial products."""
 
+    __slots__ = ("n", "k", "parts", "product_ok", "chain_ok")
     n: int
     k: int
     parts: tuple[int, ...]
@@ -200,10 +199,10 @@ def integrality_scan(seq: SequenceLike, max_n: int) -> list[tuple[int, int, Scal
             for k, value in enumerate(tbl.row(n)) if not value.is_integral]
 
 
-@dataclass(frozen=True)
-class QstarReport:
+class QstarReport(Frozen):
     """Transfer between a two-root power-sum binomial and the q-binomial."""
 
+    __slots__ = ("n", "k", "lhs", "rhs", "ok")
     n: int
     k: int
     lhs: Scalar

@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import fcntl
-import hashlib
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracles
@@ -87,10 +86,15 @@ def _add_format_option(parser: argparse.ArgumentParser,
     parser.add_argument("--format", choices=choices, default="text")
 
 
+# `json.dumps(obj, sort_keys=True, separators=(",", ":"))`, with the encoder
+# made once
+_encode_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _render_value(value_json) -> str:
     if isinstance(value_json, str):
         return value_json
-    return json.dumps(value_json, sort_keys=True, separators=(",", ":"))
+    return _encode_compact(value_json)
 
 
 def _rows_to_stream(rows: list[dict], fmt: str, header: list[str]) -> str:
@@ -138,6 +142,8 @@ CACHE_FORMAT = 1
 
 
 def triangle_digest(spec: HoradamSpec, kind: str, parts: tuple[int, ...]) -> str:
+    # imported here: only a cached triangle needs its digest
+    import hashlib
     payload = json.dumps({"cache_format": CACHE_FORMAT, "engine": ENGINE_VERSION,
                           "kind": kind, "parts": list(parts),
                           "spec": spec.to_json()},
@@ -201,27 +207,38 @@ def load_cache(path: str) -> dict[tuple[str, int, int], object]:
     return cache
 
 
-def _encode_records(records: list[dict]) -> str:
+def _encode_records(records: list[dict], native: bool = False) -> str:
     """One JSON line per record, the bytes of `JSONEncoder(sort_keys=True,
     separators=(",", ":"))`.  A record is {"spec_hash": str, "n": int, "k":
-    int, "value": ...}; one with a string value is written by an f-string,
-    its strings escaped by the encoder's own `encode_basestring_ascii`."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    int, "value": ...}; one with a string value is written by an f-string.
+    Its spec_hash is escaped by the encoder's own `encode_basestring_ascii`
+    once for each run of records that share it, and so is its value, unless
+    `native` says that every string value is the str of an int or a
+    Fraction: that holds only -0-9/ and is written between quotes as it is."""
     esc = json.encoder.encode_basestring_ascii
-    return "".join(
-        f'{{"k":{rec["k"]},"n":{rec["n"]},"spec_hash":{esc(rec["spec_hash"])},'
-        f'"value":{esc(rec["value"])}}}\n' if type(rec["value"]) is str
-        else encode(rec) + "\n" for rec in records)
+    lines = []
+    spec_hash = middle = None
+    for rec in records:
+        value = rec["value"]
+        if type(value) is not str:
+            lines.append(_encode_compact(rec) + "\n")
+            continue
+        if rec["spec_hash"] != spec_hash:
+            spec_hash = rec["spec_hash"]
+            middle = f',"spec_hash":{esc(spec_hash)},"value":'
+        value = f'"{value}"' if native else esc(value)
+        lines.append(f'{{"k":{rec["k"]},"n":{rec["n"]}{middle}{value}}}\n')
+    return "".join(lines)
 
 
-def append_cache(path: str, records: list[dict]) -> None:
+def append_cache(path: str, records: list[dict], native: bool = False) -> None:
     """Append one JSON line per record, the whole batch in one write under an
     exclusive `flock`, so concurrent appends never interleave.  An unterminated
     last line, which `load_cache` skips, is cut off first so the batch starts
-    on a fresh line."""
+    on a fresh line.  `native` is `_encode_records`'s."""
     if not records:
         return
-    payload = _encode_records(records).encode()
+    payload = _encode_records(records, native).encode()
     parent = os.path.dirname(path)
     try:
         if parent:
@@ -250,8 +267,9 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
     (n, k) order, consulting and updating the JSONL cache when a path is
     given.  Cached values are reused verbatim.  Binomial rows come from
     `BinomialTable.own_row`, and each mirrored pair C(n,k) = C(n,n-k) is
-    rendered once."""
-    digest = triangle_digest(spec, kind, parts)
+    rendered once.  Every string value made here is the str of an int or a
+    Fraction, so the fresh records are appended as native."""
+    digest = triangle_digest(spec, kind, parts) if cache_path else None
     cache = load_cache(cache_path) if cache_path else {}
     tbl = table_for(spec)
     rows = []
@@ -269,12 +287,36 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
                 else:
                     rest = n - k - sum(parts)
                     value_json = tbl.multinomial((k,) + parts + (rest,)).to_json()
-                fresh.append({"spec_hash": digest, "n": n, "k": k,
-                              "value": value_json})
+                if cache_path:
+                    fresh.append({"spec_hash": digest, "n": n, "k": k,
+                                  "value": value_json})
             rows.append((n, k, value_json))
     if cache_path:
-        append_cache(cache_path, fresh)
+        append_cache(cache_path, fresh, native=True)
     return rows
+
+
+def _check_destination(path: str, what: str, make_parents: bool) -> None:
+    """Refuse, before any work is done, a file path that cannot be written:
+    a directory, a path under a regular file, a missing parent directory
+    unless `make_parents` (the cache makes its own), or a place without write
+    permission.  The file itself is neither opened nor made here, so a run
+    that fails later leaves it as it was."""
+    parent = os.path.dirname(os.path.abspath(path))
+    ancestor = parent
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(ancestor):
+        code = errno.ENOTDIR
+    elif ancestor != parent and not make_parents:
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else ancestor, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {what} {path}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +373,8 @@ def cmd_triangle(args) -> int:
     if any(p < 0 for p in parts):
         raise ConfigError("--parts entries must be nonnegative")
     cache_path = args.cache or default_cache_path()
+    if cache_path:
+        _check_destination(cache_path, "cache", make_parents=True)
     sys.stdout.write(emit_triangle(spec, args.kind, args.max_n, args.format,
                                    parts, cache_path))
     return 0
@@ -444,17 +488,26 @@ def cmd_oracle(args) -> int:
 # verification suite
 
 
-@dataclass
 class SuiteConfig:
-    """Declarative description of one suite run."""
+    """Declarative description of one suite run.  Configs with equal fields
+    are equal."""
 
-    specs: list[tuple[str, HoradamSpec]]
-    families: list[str]
-    max_n: int = 10
-    oracles: list[str] = field(default_factory=lambda: list(SUITE_ORACLE_GROUPS))
-    literal_v_addition_strict: bool = False
-    format: str = "text"
-    cache: str | None = None
+    def __init__(self, specs: list[tuple[str, HoradamSpec]], families: list[str],
+                 max_n: int = 10, oracles: list[str] | None = None,
+                 literal_v_addition_strict: bool = False, format: str = "text",
+                 cache: str | None = None):
+        self.specs = specs
+        self.families = families
+        self.max_n = max_n
+        self.oracles = list(SUITE_ORACLE_GROUPS) if oracles is None else oracles
+        self.literal_v_addition_strict = literal_v_addition_strict
+        self.format = format
+        self.cache = cache
+
+    def __eq__(self, other):
+        if type(other) is not SuiteConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SuiteConfig":
@@ -747,6 +800,10 @@ def cmd_suite(args) -> int:
         config.format = args.format
     if args.cache is not None:
         config.cache = args.cache
+    if args.out:
+        _check_destination(args.out, "report", make_parents=False)
+    if config.cache:
+        _check_destination(config.cache, "cache", make_parents=True)
 
     report = run_suite(config)
     out = report.to_json() + "\n" if config.format == "json" else report.to_text() + "\n"

@@ -21,12 +21,11 @@ error messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, NamedTuple, Union
 
 from .binomials import SequenceLike, sequence_fn, table_for
-from .ring import ONE, NativeExt, QuadExt, Scalar, ScalarLike, lift, native, ndiv
+from .ring import ONE, Frozen, NativeExt, QuadExt, Scalar, ScalarLike, lift, native, ndiv
 from .sequences import BinetSpec, HoradamSpec, char_roots, context, preset, to_binet
 
 CoeffValue = Union[Scalar, QuadExt]
@@ -66,10 +65,10 @@ def _numbers(seq: SequenceLike) -> _Numbers:
     return NATIVE if isinstance(seq, HoradamSpec) and context(seq).own is native else SCALAR
 
 
-@dataclass(frozen=True)
-class CoeffPair:
+class CoeffPair(Frozen):
     """Coefficients (h1, h2) for splitting index r+s into r and s."""
 
+    __slots__ = ("r", "s", "h1", "h2")
     r: int
     s: int
     h1: CoeffValue
@@ -179,19 +178,26 @@ def _alternating_by_extension(binet: BinetSpec, r: int, s: int) -> CoeffPair:
     return CoeffPair(r, s, h1.project(), h2.project())
 
 
-@dataclass(frozen=True)
-class CoeffFamily:
+class CoeffFamily(Frozen):
     """A named rule (r, s) -> (h1, h2), bundled with the sequence `seq`
     whose scalar identity the rule satisfies.  The closed-form families carry
     the Binet data of `seq`, so a repeated root shows when they are built.
     `numbers` is the number type the rule runs on: `verify_pascal` makes a
-    NATIVE copy for its own cells, and every other family is SCALAR."""
+    NATIVE copy for its own cells (`with_numbers`), and every other family is
+    SCALAR.  Families equal in all but `numbers` are equal."""
 
-    tag: str
-    seq: SequenceLike
-    roots: tuple[Scalar, Scalar] | None = None
-    closed_form: BinetSpec | None = None
-    numbers: _Numbers = field(default=SCALAR, compare=False, repr=False)
+    def __init__(self, tag: str, seq: SequenceLike,
+                 roots: tuple[Scalar, Scalar] | None = None,
+                 closed_form: BinetSpec | None = None, numbers: _Numbers = SCALAR):
+        self.__dict__.update(tag=tag, seq=seq, roots=roots, closed_form=closed_form,
+                             numbers=numbers)
+
+    def _key(self) -> tuple:
+        return self.tag, self.seq, self.roots, self.closed_form
+
+    def with_numbers(self, numbers: _Numbers) -> "CoeffFamily":
+        """The same family on the number type `numbers`."""
+        return CoeffFamily(self.tag, self.seq, self.roots, self.closed_form, numbers)
 
     @cached_property
     def terms(self) -> Callable[[int], object]:
@@ -340,32 +346,32 @@ def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
 PairRule = Union[CoeffFamily, Callable[[int, int], CoeffPair]]
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(Frozen):
     """Outcome at one cell.  A failing cell keeps both exact sides of the
     first identity that broke, the scalar one before the table one; a passing
     cell keeps None."""
 
+    __slots__ = ("r", "s", "scalar_ok", "table_ok", "lhs", "rhs")
     r: int
     s: int
     scalar_ok: bool
     table_ok: bool
-    lhs: CoeffValue | None = None
-    rhs: CoeffValue | None = None
+    lhs: CoeffValue | None
+    rhs: CoeffValue | None
 
     @property
     def ok(self) -> bool:
         return self.scalar_ok and self.table_ok
 
 
-@dataclass
 class PascalReport:
     """Cell-by-cell verification of the two-term recurrence on one table."""
 
-    family: str
-    max_n: int
-    cells: list[CellCheck] = field(default_factory=list)
-    uses_extension: bool = False
+    def __init__(self, family: str, max_n: int):
+        self.family = family
+        self.max_n = max_n
+        self.cells: list[CellCheck] = []
+        self.uses_extension = False
 
     @property
     def all_pass(self) -> bool:
@@ -408,7 +414,7 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
         tag = rule.tag
         family = rule
         if numbers is NATIVE and _numbers(rule.seq) is NATIVE:
-            family = replace(rule, numbers=NATIVE)
+            family = rule.with_numbers(NATIVE)
         pairs = lambda r, s: family_coeffs(family, r, s)
         if seq == rule.seq:
             fn = None  # family_coeffs raises on any break of the scalar identity
@@ -427,8 +433,8 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
     return report
 
 
-@dataclass(frozen=True)
-class VWeightedCell:
+class VWeightedCell(Frozen):
+    __slots__ = ("r", "s", "ok", "lhs", "rhs")
     r: int
     s: int
     ok: bool
@@ -436,15 +442,15 @@ class VWeightedCell:
     rhs: Scalar
 
 
-@dataclass
 class VWeightedReport:
     """Verification of 2*{r+s choose r} = V(s)*{r+s-1 choose r-1} +
     V(r)*{r+s-1 choose r} on the fundamental-sequence table."""
 
-    s: Scalar
-    t: Scalar
-    max_n: int
-    cells: list[VWeightedCell] = field(default_factory=list)
+    def __init__(self, s: Scalar, t: Scalar, max_n: int):
+        self.s = s
+        self.t = t
+        self.max_n = max_n
+        self.cells: list[VWeightedCell] = []
 
     @property
     def all_pass(self) -> bool:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 ENGINE_VERSION = "0.1.0"
 
@@ -13,17 +11,20 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass
 class CheckRecord:
     """One verified fact: an identifier, the indices it was checked at, the
     outcome, and both exact sides rendered as strings."""
 
-    check: str
-    indices: tuple
-    status: str
-    lhs: str = ""
-    rhs: str = ""
-    note: str = ""
+    __slots__ = ("check", "indices", "status", "lhs", "rhs", "note")
+
+    def __init__(self, check: str, indices: tuple, status: str,
+                 lhs: str = "", rhs: str = "", note: str = ""):
+        self.check = check
+        self.indices = indices
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+        self.note = note
 
     def to_dict(self) -> dict:
         out = {"check": self.check, "indices": list(self.indices),
@@ -36,9 +37,11 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class Report:
-    records: list[CheckRecord] = field(default_factory=list)
+    """The records of one run, in the order they were added."""
+
+    def __init__(self):
+        self.records: list[CheckRecord] = []
 
     def add(self, check: str, indices: tuple, ok: bool,
             lhs: str = "", rhs: str = "", note: str = "") -> CheckRecord:
@@ -64,6 +67,8 @@ class Report:
 
     def to_dict(self, timestamp: str | None = None) -> dict:
         if timestamp is None:
+            # imported here: only a report without a given timestamp reads the clock
+            from datetime import datetime, timezone
             timestamp = datetime.now(timezone.utc).isoformat()
         return {
             "engine_version": ENGINE_VERSION,

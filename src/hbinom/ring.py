@@ -25,7 +25,6 @@ values back into the ``Scalar`` or ``QuadExt`` they stand for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -260,7 +259,46 @@ def _psqrt(a: Coeffs) -> Optional[Coeffs]:
 # ---------------------------------------------------------------------------
 
 
-class Scalar:
+_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value classes.  `Frozen(*values)` sets a
+    subclass's `__slots__` in order; a subclass with its own `__init__` sets
+    its attributes through `object.__setattr__` or its slot setters.  Any
+    later assignment or deletion raises AttributeError.  Two values of one
+    class are equal when their `_key`s are, by default the slots in order,
+    and hash as their key."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values, "
+                            f"got {len(values)}")
+        for name, value in zip(names, values):
+            _setattr(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(Frozen):
     """Canonical element of Q(x): a reduced quotient with monic denominator.
 
     It is held as `c * n / (d / d[-1])` with a Fraction content `c` and int
@@ -283,9 +321,6 @@ class Scalar:
         _set_c(self, f)
         _set_n(self, _I1 if f else ())
         _set_d(self, _I1)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Scalar is immutable")
 
     @classmethod
     def _make(cls, num: Coeffs, den: Coeffs) -> "Scalar":
@@ -530,13 +565,16 @@ class Scalar:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        """JSON-friendly form: string, coefficient list, or {num, den} dict."""
+        """JSON-friendly form: string, coefficient list, or {num, den} dict.
+        The coefficient strings are those of `num_coeffs` and `den_coeffs`,
+        formed from the held ints without building their Fractions."""
         if self.is_rational:
             return str(self._c)
-        if self.is_polynomial:
-            return [str(c) for c in self.num_coeffs]
-        return {"num": [str(c) for c in self.num_coeffs],
-                "den": [str(c) for c in self.den_coeffs]}
+        c, d = self._c, self._d
+        num = _coeff_strs(c.numerator, c.denominator, self._n)
+        if len(d) == 1:
+            return num
+        return {"num": num, "den": _coeff_strs(1, d[-1], d)}
 
     @classmethod
     def from_json(cls, obj) -> "Scalar":
@@ -646,6 +684,18 @@ def _from_int(n: int) -> Scalar:
     return _raw(Fraction(n), _I1 if n else (), _I1)
 
 
+def _coeff_strs(p: int, q: int, ints: Ints) -> list[str]:
+    """[str(Fraction(p * v, q)) for v in ints], for coprime p and q > 0: the
+    gcd of p*v and q is that of v and q, one int gcd per entry."""
+    if q == 1:
+        return [str(p * v) for v in ints]
+    out = []
+    for v in ints:
+        g = math.gcd(v, q)
+        out.append(str(p * (v // g)) if g == q else f"{p * (v // g)}/{q // g}")
+    return out
+
+
 def _poly_str(coeffs: Coeffs) -> str:
     if not coeffs:
         return "0"
@@ -674,18 +724,18 @@ X = Scalar.indeterminate()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class QuadExt(Frozen):
     """Element alpha + beta*sqrt(disc) of a quadratic extension of Q(x)."""
 
-    alpha: Scalar
-    beta: Scalar
-    disc: Scalar
+    __slots__ = ("alpha", "beta", "disc")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Scalar.coerce(self.alpha))
-        object.__setattr__(self, "beta", Scalar.coerce(self.beta))
-        object.__setattr__(self, "disc", Scalar.coerce(self.disc))
+    def __init__(self, alpha: ScalarLike, beta: ScalarLike, disc: ScalarLike):
+        _setattr(self, "alpha", Scalar.coerce(alpha))
+        _setattr(self, "beta", Scalar.coerce(beta))
+        _setattr(self, "disc", Scalar.coerce(disc))
+
+    def _key(self) -> tuple:
+        return self.alpha, self.beta, self.disc
 
     @classmethod
     def embed(cls, value: ScalarLike, disc: ScalarLike) -> "QuadExt":

@@ -18,36 +18,42 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .ring import ONE, ZERO, QuadExt, Scalar, ScalarLike, X, lift, native
+from .ring import ONE, ZERO, Frozen, QuadExt, Scalar, ScalarLike, X, lift, native
+
+_setattr = object.__setattr__
 
 
 class DegenerateRootsError(ValueError):
     """Raised when the characteristic roots coincide (discriminant zero)."""
 
 
-@dataclass(frozen=True)
-class HoradamSpec:
-    """Defining data of one sequence: initial values and recurrence weights."""
+class HoradamSpec(Frozen):
+    """Defining data of one sequence: initial values and recurrence weights.
+    Specs with equal entries are equal and hash alike, since a spec keys the
+    memo of its context."""
 
-    a: Scalar
-    b: Scalar
-    s: Scalar
-    t: Scalar
+    __slots__ = ("a", "b", "s", "t", "_hash", "_disc")
 
-    def __post_init__(self):
-        for name in ("a", "b", "s", "t"):
-            object.__setattr__(self, name, Scalar.coerce(getattr(self, name)))
+    def __init__(self, a: ScalarLike, b: ScalarLike, s: ScalarLike, t: ScalarLike):
+        _setattr(self, "a", Scalar.coerce(a))
+        _setattr(self, "b", Scalar.coerce(b))
+        _setattr(self, "s", Scalar.coerce(s))
+        _setattr(self, "t", Scalar.coerce(t))
+        _setattr(self, "_hash", None)
+        _setattr(self, "_disc", None)
+
+    def _key(self) -> tuple:
+        return self.a, self.b, self.s, self.t
 
     def __hash__(self) -> int:
         # hashed once: the spec keys every lookup of its context
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = hash((self.a, self.b, self.s, self.t))
-            object.__setattr__(self, "_hash", h)
+            h = hash(self._key())
+            _setattr(self, "_hash", h)
         return h
 
     @property
@@ -58,10 +64,10 @@ class HoradamSpec:
 
     def discriminant(self) -> Scalar:
         """s^2 + 4t, the discriminant of z^2 = s*z + t (worked out once)."""
-        d = self.__dict__.get("_disc")
+        d = self._disc
         if d is None:
             d = self.s * self.s + 4 * self.t
-            object.__setattr__(self, "_disc", d)
+            _setattr(self, "_disc", d)
         return d
 
     def to_json(self) -> dict:
@@ -163,15 +169,16 @@ def char_roots(spec: HoradamSpec) -> tuple[QuadExt, QuadExt]:
     return p, q
 
 
-@dataclass(frozen=True)
-class BinetSpec:
+class BinetSpec(Frozen):
     """Closed-form data: H(n) = A*p^n + B*q^n in the extension over disc;
-    the specs it gives derive from A, B, p and q alone."""
+    the specs it gives derive from A, B, p and q alone.  Equal A, B, p and q
+    make equal closed forms, so families carrying them compare equal."""
 
-    A: QuadExt
-    B: QuadExt
-    p: QuadExt
-    q: QuadExt
+    def __init__(self, A: QuadExt, B: QuadExt, p: QuadExt, q: QuadExt):
+        self.__dict__.update(A=A, B=B, p=p, q=q)
+
+    def _key(self) -> tuple:
+        return self.A, self.B, self.p, self.q
 
     @property
     def disc(self) -> Scalar:
@@ -259,10 +266,10 @@ def ogf(spec: HoradamSpec) -> Scalar:
     return num / den
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(Frozen):
     """Outcome of checking generating-function series against the recurrence."""
 
+    __slots__ = ("order", "ogf_ok", "egf_checked", "egf_ok")
     order: int
     ogf_ok: bool
     egf_checked: bool
@@ -312,8 +319,7 @@ def series_verify(spec: HoradamSpec, order: int) -> SeriesReport:
     return SeriesReport(order, ogf_ok, egf_checked, egf_ok)
 
 
-@dataclass(frozen=True)
-class AdditionReport:
+class AdditionReport(Frozen):
     """Exact audit of the doubled addition identities at one index pair.
 
     `u_ok` checks 2*U(r+s) = U(r)V(s) + U(s)V(r).  `v_corrected_ok` checks
@@ -322,6 +328,8 @@ class AdditionReport:
     only holds when D = 1.
     """
 
+    __slots__ = ("r", "s", "disc", "u_ok", "v_corrected_ok", "v_literal_ok",
+                 "v_literal_lhs", "v_literal_rhs")
     r: int
     s: int
     disc: Scalar

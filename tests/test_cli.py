@@ -656,3 +656,74 @@ def test_triangle_cache_under_a_regular_file_exits_2(tmp_path, capsys):
                              "--max-n", "3", "--cache", str(cache))
     assert (code, out) == (2, "")
     _one_error_line(err, cache)
+
+
+# -- destinations are checked before any work ---------------------------------
+
+
+def _no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before the destination was checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "triangle_rows", refuse)
+
+
+def _regular_file(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    return afile
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent", "under_a_file"])
+def test_suite_out_is_refused_before_the_suite_runs(tmp_path, capsys, monkeypatch, where):
+    out_path = {"directory": tmp_path,
+                "missing_parent": tmp_path / "no" / "report.txt",
+                "under_a_file": _regular_file(tmp_path) / "report.txt"}[where]
+    _no_work(monkeypatch)
+    code, out, err = run_cli(capsys, "suite", "--max-n", "3", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    _one_error_line(err, out_path)
+
+
+@pytest.mark.parametrize("via", ["argv", "config"])
+def test_suite_cache_under_a_file_is_refused_before_the_suite_runs(tmp_path, capsys,
+                                                                     monkeypatch, via):
+    cache = _regular_file(tmp_path) / "sub" / "t.jsonl"
+    config_path = tmp_path / "config.json"
+    config = dict(SMALL_CONFIG, **({"cache": str(cache)} if via == "config" else {}))
+    config_path.write_text(json.dumps(config))
+    report = tmp_path / "report.json"
+    report.write_text("an earlier report\n")
+    _no_work(monkeypatch)
+    argv = ["suite", "--config", str(config_path), "--out", str(report)]
+    if via == "argv":
+        argv += ["--cache", str(cache)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    _one_error_line(err, cache)
+    # --out is checked, never opened early: the refused run leaves it as it was
+    assert report.read_text() == "an earlier report\n"
+
+
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+def test_triangle_cache_is_refused_before_the_triangle_is_computed(tmp_path, capsys,
+                                                                    monkeypatch, where):
+    cache = tmp_path if where == "directory" else _regular_file(tmp_path) / "t.jsonl"
+    _no_work(monkeypatch)
+    code, out, err = run_cli(capsys, "triangle", "--preset", "cigler_qfib",
+                             "--max-n", "40", "--cache", str(cache))
+    assert (code, out) == (2, "")
+    _one_error_line(err, cache)
+
+
+def test_writable_destinations_pass_the_check(tmp_path, capsys):
+    cache = tmp_path / "new" / "dirs" / "t.jsonl"
+    code, out, _ = run_cli(capsys, "triangle", "--preset", "fibonacci", "--max-n", "3",
+                           "--cache", str(cache))
+    assert code == 0 and out.count("\n") == 10 and cache.exists()
+    report = tmp_path / "report.txt"
+    report.write_text("old")
+    code, out, _ = run_cli(capsys, "suite", "--max-n", "2", "--out", str(report),
+                           "--cache", str(cache))
+    assert (code, out) == (0, "") and report.read_text().startswith("[PASS]")

@@ -101,6 +101,39 @@ def test_direct_records_match_the_encoder(records):
     assert _encode_records(records) == "".join(_ENCODE(rec) + "\n" for rec in records)
 
 
+# what `triangle_rows` appends: a native value's str, or the coefficient list
+# or {num, den} object of a polynomial or rational-function cell
+NATIVE_TEXT = st.one_of(st.integers(-10 ** 40, 10 ** 40).map(str),
+                        st.fractions(max_denominator=10 ** 12).map(str))
+CELL_VALUES = st.one_of(NATIVE_TEXT, st.lists(NATIVE_TEXT, min_size=2, max_size=4),
+                        st.fixed_dictionaries({"num": st.lists(NATIVE_TEXT, max_size=3),
+                                               "den": st.lists(NATIVE_TEXT, max_size=3)}))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["0123456789abcdef", "fedcba9876543210",
+                                           '"\\\u2028']),
+                          st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), CELL_VALUES),
+                max_size=8))
+def test_native_records_match_the_encoder(cells):
+    # runs of records sharing one spec_hash, as a triangle's batch has, and
+    # changes of spec_hash between them
+    records = [{"spec_hash": h, "n": n, "k": k, "value": v} for h, n, k, v in cells]
+    expected = "".join(_ENCODE(rec) + "\n" for rec in records)
+    assert _encode_records(records, native=True) == expected
+    assert _encode_records(records) == expected
+
+
+def test_a_cached_triangle_appends_the_encoder_bytes(tmp_path):
+    for name in ("v_1_1", "fractional", "cigler_qlucas", "poly_t"):
+        path = tmp_path / f"{name}.jsonl"
+        cells = triangle_rows(SPECS[name], "binomial", (), _max_n(name), str(path))
+        digest = triangle_digest(SPECS[name], "binomial", ())
+        assert path.read_text() == "".join(
+            _ENCODE({"spec_hash": digest, "n": n, "k": k, "value": v}) + "\n"
+            for n, k, v in cells)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fixed_dictionaries({"spec_hash": TEXT, "n": st.integers(0, 10 ** 9),
                                        "k": st.integers(0, 10 ** 9), "value": VALUES}),

@@ -13,7 +13,6 @@ with roots 1/2 and 1/3)."""
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -110,7 +109,7 @@ def test_closed_form_pairs_golden(key):
     assert _pairs_digest(lambda r, s: rule(binet, r, s)) == PAIRS[key]
     if spec.is_rational:
         # the native route, as `verify_pascal` runs it, gives the same values
-        family = replace(resolve_family(tag, spec), numbers=NATIVE)
+        family = resolve_family(tag, spec).with_numbers(NATIVE)
         assert _pairs_digest(lambda r, s: family_coeffs(family, r, s)) == PAIRS[key]
 
 

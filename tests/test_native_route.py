@@ -11,7 +11,6 @@ import json
 import pathlib
 import tempfile
 from collections import OrderedDict
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -148,7 +147,7 @@ def test_native_values_are_never_floats(name):
             family = resolve_family(tag, spec)
         except (ArithmeticError, ValueError):
             continue
-        native_family = replace(family, numbers=NATIVE)
+        native_family = family.with_numbers(NATIVE)
         for total in range(2, MAX_N + 1):
             for r in range(1, total):
                 try:

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbinom.binomials import table_for
 from hbinom.ring import (_P1, ONE, ZERO, Scalar, _from_ints, _held, _horner,
                          _idivexact, _imul, _padd, _pdivmod, _pgcd, _pmul,
                          _poly_str, _power, _psqrt, _reduce, _trim)
+from hbinom.sequences import HoradamSpec, preset
 
 fracs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 polys = st.lists(fracs, max_size=7).map(_trim)
@@ -375,3 +377,42 @@ def test_evaluate_at_a_polynomial_point_takes_the_scalar_route():
     v = Scalar.from_ratio([1, 0, 1], [Fraction(-1, 2), 1])
     assert v.evaluate(x * x) == (x ** 4 + 1) / (x * x - Fraction(1, 2))
     assert v.evaluate(x) == v
+
+
+# wide contents: numerators and denominators past a machine word, so that a
+# coefficient's gcd with the content's denominator is often neither 1 nor it
+wide_fracs = st.fractions(min_value=-10 ** 30, max_value=10 ** 30,
+                          max_denominator=10 ** 12)
+wide_polys = st.lists(st.one_of(wide_fracs, st.just(Fraction(0))), max_size=8).map(_trim)
+
+
+def _to_json_reference(v: Scalar):
+    """to_json read from the Fraction tuples `num_coeffs` and `den_coeffs`."""
+    if v.is_rational:
+        return str(v.as_fraction())
+    num = [str(c) for c in v.num_coeffs]
+    if v.is_polynomial:
+        return num
+    return {"num": num, "den": [str(c) for c in v.den_coeffs]}
+
+
+@given(st.one_of(polys, wide_polys), st.one_of(nonzero_polys, wide_polys.filter(bool)),
+       st.sampled_from([1, 2, 3, Fraction(-7, 12), Fraction(10 ** 20 + 1, 6)]))
+@settings(max_examples=150, deadline=None)
+def test_to_json_renders_the_held_ints_as_the_fraction_tuples(num, den, scale):
+    values = [Scalar.poly(num), Scalar.from_ratio(num, den),
+              Scalar.poly(num) * scale, Scalar.from_ratio(num, den) / scale]
+    for v in values:
+        assert v.to_json() == _to_json_reference(v)
+
+
+def test_to_json_renders_triangle_cells_as_the_fraction_tuples():
+    # U(x, -17/21): polynomial cells with fractional contents; V(x, -17/28):
+    # rational-function cells with a non-constant denominator
+    u = HoradamSpec(0, 1, Scalar.indeterminate(), Fraction(-17, 21))
+    v = preset("cigler_qlucas", t=Fraction(-17, 28))
+    cells = [c for spec, top in ((u, 18), (v, 8)) for n in range(top + 1)
+             for c in table_for(spec).row(n)]
+    assert {c.variant for c in cells} == {"rational", "polynomial", "rational_function"}
+    for c in cells:
+        assert c.to_json() == _to_json_reference(c)
