@@ -207,14 +207,12 @@ def load_cache(path: str) -> dict[tuple[str, int, int], object]:
     return cache
 
 
-def _encode_records(records: list[dict], native: bool = False) -> str:
+def _encode_records(records: list[dict]) -> str:
     """One JSON line per record, the bytes of `JSONEncoder(sort_keys=True,
     separators=(",", ":"))`.  A record is {"spec_hash": str, "n": int, "k":
-    int, "value": ...}; one with a string value is written by an f-string.
-    Its spec_hash is escaped by the encoder's own `encode_basestring_ascii`
-    once for each run of records that share it, and so is its value, unless
-    `native` says that every string value is the str of an int or a
-    Fraction: that holds only -0-9/ and is written between quotes as it is."""
+    int, "value": ...}; one with a string value is written by an f-string,
+    its value escaped by the encoder's own `encode_basestring_ascii` and its
+    spec_hash escaped once for each run of records that share it."""
     esc = json.encoder.encode_basestring_ascii
     lines = []
     spec_hash = middle = None
@@ -226,19 +224,18 @@ def _encode_records(records: list[dict], native: bool = False) -> str:
         if rec["spec_hash"] != spec_hash:
             spec_hash = rec["spec_hash"]
             middle = f',"spec_hash":{esc(spec_hash)},"value":'
-        value = f'"{value}"' if native else esc(value)
-        lines.append(f'{{"k":{rec["k"]},"n":{rec["n"]}{middle}{value}}}\n')
+        lines.append(f'{{"k":{rec["k"]},"n":{rec["n"]}{middle}{esc(value)}}}\n')
     return "".join(lines)
 
 
-def append_cache(path: str, records: list[dict], native: bool = False) -> None:
+def append_cache(path: str, records: list[dict]) -> None:
     """Append one JSON line per record, the whole batch in one write under an
     exclusive `flock`, so concurrent appends never interleave.  An unterminated
     last line, which `load_cache` skips, is cut off first so the batch starts
-    on a fresh line.  `native` is `_encode_records`'s."""
+    on a fresh line."""
     if not records:
         return
-    payload = _encode_records(records, native).encode()
+    payload = _encode_records(records).encode()
     parent = os.path.dirname(path)
     try:
         if parent:
@@ -267,8 +264,7 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
     (n, k) order, consulting and updating the JSONL cache when a path is
     given.  Cached values are reused verbatim.  Binomial rows come from
     `BinomialTable.own_row`, and each mirrored pair C(n,k) = C(n,n-k) is
-    rendered once.  Every string value made here is the str of an int or a
-    Fraction, so the fresh records are appended as native."""
+    rendered once."""
     digest = triangle_digest(spec, kind, parts) if cache_path else None
     cache = load_cache(cache_path) if cache_path else {}
     tbl = table_for(spec)
@@ -292,15 +288,18 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
                                   "value": value_json})
             rows.append((n, k, value_json))
     if cache_path:
-        append_cache(cache_path, fresh, native=True)
+        append_cache(cache_path, fresh)
     return rows
 
 
-def _check_destination(path: str, what: str, make_parents: bool) -> None:
-    """Refuse, before any work is done, a file path that cannot be written:
-    a directory, a path under a regular file, a missing parent directory
-    unless `make_parents` (the cache makes its own), or a place without write
-    permission.  The file itself is neither opened nor made here, so a run
+def _check_destination(path: str, what: str, on_demand: bool) -> None:
+    """Refuse, before any work is done, a file path that no run could write:
+    a directory or a path under a regular file.  A file that every run writes
+    (the report) is also refused for a missing parent directory or a place
+    without write permission.  A file written only when there is something new
+    for it (`on_demand`, the cache) makes its own parents, and a read-only one
+    still serves a run that finds every cell in it, so its permission is left
+    to the write.  The file itself is neither opened nor made here, so a run
     that fails later leaves it as it was."""
     parent = os.path.dirname(os.path.abspath(path))
     ancestor = parent
@@ -310,9 +309,11 @@ def _check_destination(path: str, what: str, make_parents: bool) -> None:
         code = errno.EISDIR
     elif not os.path.isdir(ancestor):
         code = errno.ENOTDIR
-    elif ancestor != parent and not make_parents:
+    elif on_demand:
+        return
+    elif ancestor != parent:
         code = errno.ENOENT
-    elif not os.access(path if os.path.exists(path) else ancestor, os.W_OK):
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
     else:
         return
@@ -374,7 +375,7 @@ def cmd_triangle(args) -> int:
         raise ConfigError("--parts entries must be nonnegative")
     cache_path = args.cache or default_cache_path()
     if cache_path:
-        _check_destination(cache_path, "cache", make_parents=True)
+        _check_destination(cache_path, "cache", on_demand=True)
     sys.stdout.write(emit_triangle(spec, args.kind, args.max_n, args.format,
                                    parts, cache_path))
     return 0
@@ -801,9 +802,9 @@ def cmd_suite(args) -> int:
     if args.cache is not None:
         config.cache = args.cache
     if args.out:
-        _check_destination(args.out, "report", make_parents=False)
+        _check_destination(args.out, "report", on_demand=False)
     if config.cache:
-        _check_destination(config.cache, "cache", make_parents=True)
+        _check_destination(config.cache, "cache", on_demand=True)
 
     report = run_suite(config)
     out = report.to_json() + "\n" if config.format == "json" else report.to_text() + "\n"

@@ -264,21 +264,26 @@ _setattr = object.__setattr__
 
 class Frozen:
     """Base of the immutable value classes.  `Frozen(*values)` sets a
-    subclass's `__slots__` in order; a subclass with its own `__init__` sets
-    its attributes through `object.__setattr__` or its slot setters.  Any
-    later assignment or deletion raises AttributeError.  Two values of one
-    class are equal when their `_key`s are, by default the slots in order,
-    and hash as their key."""
+    subclass's `__slots__` in order through the slots' own setters, which
+    each subclass binds once in `_setters`; a subclass with its own
+    `__init__` sets its attributes through those or `object.__setattr__`.
+    Any later assignment or deletion raises AttributeError.  Two values of
+    one class are equal when their `_key`s are, by default the slots in
+    order, and hash as their key."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values):
-        names = self.__slots__
-        if len(values) != len(names):
-            raise TypeError(f"{type(self).__name__} takes {len(names)} values, "
+        setters = self._setters
+        if len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} values, "
                             f"got {len(values)}")
-        for name, value in zip(names, values):
-            _setattr(self, name, value)
+        for set_, value in zip(setters, values):
+            set_(self, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -621,9 +626,9 @@ def _power(base, exponent: int, one):
     return result
 
 
-# slot setters bound once: they skip the immutability guard, and a Scalar is
-# built faster through them than through object.__setattr__
-_set_c, _set_n, _set_d = (getattr(Scalar, name).__set__ for name in Scalar.__slots__)
+# the slot setters Frozen binds: they skip the immutability guard, and a
+# Scalar is built faster through them than through object.__setattr__
+_set_c, _set_n, _set_d = Scalar._setters
 _new = object.__new__
 
 

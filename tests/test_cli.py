@@ -717,6 +717,40 @@ def test_triangle_cache_is_refused_before_the_triangle_is_computed(tmp_path, cap
     _one_error_line(err, cache)
 
 
+def _no_write_permission(monkeypatch):
+    # as if the process could write nowhere; root passes every real check
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+
+
+def test_suite_out_without_write_permission_is_refused(tmp_path, capsys, monkeypatch):
+    report = tmp_path / "report.txt"
+    _no_work(monkeypatch)
+    _no_write_permission(monkeypatch)
+    code, out, err = run_cli(capsys, "suite", "--max-n", "3", "--out", str(report))
+    assert (code, out) == (2, "")
+    _one_error_line(err, report)
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_a_warm_cache_serves_without_write_permission(tmp_path, capsys, monkeypatch, via):
+    # a read-only cache, or one in a read-only shared directory, is read and
+    # never written while it holds every requested cell
+    cache = tmp_path / "shared" / "triangles.jsonl"
+    argv = ("triangle", "--preset", "fibonacci", "--max-n", "6")
+    if via == "flag":
+        argv += ("--cache", str(cache))
+    else:
+        monkeypatch.setenv(CACHE_DIR_ENV, str(cache.parent))
+    code, cold, _ = run_cli(capsys, *argv)
+    warm = cache.read_bytes()
+    assert code == 0 and warm.count(b"\n") == 28
+    _no_write_permission(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, cold, "")
+    assert cache.read_bytes() == warm
+
+
 def test_writable_destinations_pass_the_check(tmp_path, capsys):
     cache = tmp_path / "new" / "dirs" / "t.jsonl"
     code, out, _ = run_cli(capsys, "triangle", "--preset", "fibonacci", "--max-n", "3",
