@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, Iterable, Union
+from collections.abc import Callable, Iterable
 
 from . import oracles
 from .ring import ONE, ZERO, Frozen, Scalar, ScalarLike, lift, ndiv
 from .sequences import HoradamSpec, context, preset
 
-SequenceLike = Union[HoradamSpec, Callable[[int], ScalarLike]]
+SequenceLike = HoradamSpec | Callable[[int], ScalarLike]
 
 
 class ZeroTermError(ArithmeticError):
@@ -65,7 +65,7 @@ class BinomialTable:
         self._nonzero = 0   # F(1..nonzero) are known to be nonzero
         one = self._own(ONE)
         self._fact = [one]
-        self._cells: Dict[tuple[int, int], object] = {}
+        self._cells: dict[tuple[int, int], object] = {}
         self._rows = [(one,)]
 
     def _term(self, i: int):
@@ -161,11 +161,6 @@ class MultinomialCheck(Frozen):
     """Two consistency identities tying multinomials to binomial products."""
 
     __slots__ = ("n", "k", "parts", "product_ok", "chain_ok")
-    n: int
-    k: int
-    parts: tuple[int, ...]
-    product_ok: bool
-    chain_ok: bool
 
 
 def multinomial_product_check(seq: SequenceLike, n: int, k: int,
@@ -203,11 +198,6 @@ class QstarReport(Frozen):
     """Transfer between a two-root power-sum binomial and the q-binomial."""
 
     __slots__ = ("n", "k", "lhs", "rhs", "ok")
-    n: int
-    k: int
-    lhs: Scalar
-    rhs: Scalar
-    ok: bool
 
 
 def qstar_transfer(p: ScalarLike, q: ScalarLike, n: int, k: int) -> QstarReport:

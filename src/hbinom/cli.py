@@ -56,6 +56,8 @@ def parse_spec_args(args) -> HoradamSpec:
     if args.spec and args.preset:
         raise ConfigError("give either --preset or --spec, not both")
     if args.spec:
+        if args.s is not None or args.t is not None:
+            raise ConfigError("--s and --t apply only to --preset, not to --spec")
         try:
             obj = json.loads(args.spec)
         except json.JSONDecodeError as exc:
@@ -461,6 +463,8 @@ def cmd_oracle(args) -> int:
     which = args.which
     vals = args.args
     fn_name, arity, cost = ORACLES[which]
+    if which != "md_ubinomial" and (args.s is not None or args.t is not None):
+        raise ConfigError(f"oracle {which} takes no --s or --t; only md_ubinomial does")
     if len(vals) != arity:
         raise ConfigError(f"oracle {which} takes {arity} integer arguments")
     steps, depth = cost(*vals)
@@ -531,6 +535,11 @@ class SuiteConfig:
             if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
                 raise ConfigError("each spec entry needs a name, a string")
             name = entry["name"]
+            unknown = set(entry) - {"name", "preset", "s", "t", "spec"}
+            if unknown:
+                raise ConfigError(f"spec {name!r}: unknown keys: {', '.join(sorted(unknown))}")
+            if "preset" in entry and "spec" in entry:
+                raise ConfigError(f"spec {name!r}: give either preset or spec, not both")
             if not isinstance(entry.get("preset", ""), str):
                 raise ConfigError(f"spec {name!r}: preset must be a string")
             if "preset" in entry:
@@ -541,6 +550,8 @@ class SuiteConfig:
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from exc
             elif "spec" in entry:
+                if "s" in entry or "t" in entry:
+                    raise ConfigError(f"spec {name!r}: s and t apply only to a preset")
                 try:
                     specs.append((name, HoradamSpec.from_json(entry["spec"])))
                 except (TypeError, ValueError) as exc:

@@ -21,14 +21,13 @@ error messages.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cached_property
-from typing import Callable, Dict, NamedTuple, Union
 
 from .binomials import SequenceLike, sequence_fn, table_for
 from .ring import ONE, Frozen, NativeExt, QuadExt, Scalar, ScalarLike, lift, native, ndiv
 from .sequences import BinetSpec, HoradamSpec, char_roots, context, preset, to_binet
-
-CoeffValue = Union[Scalar, QuadExt]
 
 
 class SingularCoefficientError(ArithmeticError):
@@ -43,15 +42,12 @@ class FamilyRequirementError(ValueError):
     """A family cannot be built for the given sequence."""
 
 
-class _Numbers(NamedTuple):
+class _Numbers(namedtuple("_Numbers", "value one terms ext")):
     """A number type the rules run on: how a Scalar reads in it, its one,
     how it reads a sequence's terms, and its extension value
     (a + b*sqrt(disc))/den from a, b, den and disc of the type."""
 
-    value: Callable[[Scalar], object]
-    one: object
-    terms: Callable[[SequenceLike], Callable[[int], object]]
-    ext: Callable[..., object]
+    __slots__ = ()
 
 
 SCALAR = _Numbers(lambda x: x, ONE, sequence_fn,
@@ -69,10 +65,6 @@ class CoeffPair(Frozen):
     """Coefficients (h1, h2) for splitting index r+s into r and s."""
 
     __slots__ = ("r", "s", "h1", "h2")
-    r: int
-    s: int
-    h1: CoeffValue
-    h2: CoeffValue
 
 
 def _split_sides(pair: CoeffPair, left, right, whole):
@@ -290,18 +282,17 @@ def _corcino(first: int, second: int):
     return rule
 
 
-class _Family(NamedTuple):
+class _Family(namedtuple("_Family", "build rule")):
     """Registry entry: how a spec gives the family, and the family's rule
     (family, r, s) -> (h1, h2) on the family's number type."""
 
-    build: Callable[[HoradamSpec], CoeffFamily]
-    rule: Callable[[CoeffFamily, int, int], tuple]
+    __slots__ = ()
 
 
 # Tag -> the family for a spec and its coefficient rule.  Root-based and
 # fundamental-sequence families certify the (0, 1, s, t) table for the spec's
 # weights; the others the spec.
-_FAMILIES: Dict[str, _Family] = {
+_FAMILIES: dict[str, _Family] = {
     "binet": _Family(CoeffFamily.binet, _closed_form_pair),
     "alternating": _Family(CoeffFamily.alternating, lambda f, r, s: (
         _closed_form_pair(f, r, s) if r == s
@@ -343,7 +334,7 @@ def family_coeffs(family: CoeffFamily, r: int, s: int) -> CoeffPair:
     return pair
 
 
-PairRule = Union[CoeffFamily, Callable[[int, int], CoeffPair]]
+PairRule = CoeffFamily | Callable[[int, int], CoeffPair]
 
 
 class CellCheck(Frozen):
@@ -352,12 +343,6 @@ class CellCheck(Frozen):
     cell keeps None."""
 
     __slots__ = ("r", "s", "scalar_ok", "table_ok", "lhs", "rhs")
-    r: int
-    s: int
-    scalar_ok: bool
-    table_ok: bool
-    lhs: CoeffValue | None
-    rhs: CoeffValue | None
 
     @property
     def ok(self) -> bool:
@@ -435,11 +420,6 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
 
 class VWeightedCell(Frozen):
     __slots__ = ("r", "s", "ok", "lhs", "rhs")
-    r: int
-    s: int
-    ok: bool
-    lhs: Scalar
-    rhs: Scalar
 
 
 class VWeightedReport:

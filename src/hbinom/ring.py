@@ -25,8 +25,8 @@ values back into the ``Scalar`` or ``QuadExt`` they stand for.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence, Union
 
 
 class ExtensionMismatchError(ValueError):
@@ -38,7 +38,6 @@ class IrrationalResidueError(ArithmeticError):
 
 
 Coeffs = tuple[Fraction, ...]
-ScalarLike = Union["Scalar", int, Fraction]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -149,7 +148,7 @@ def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _idivexact(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
+def _idivexact(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     """Integer quotient a / b, or None when some step leaves Z or a remainder stays."""
     lb, lc = len(b), b[-1]
     rem = list(a)
@@ -220,7 +219,7 @@ def _reduce(num: Coeffs, den: Coeffs) -> tuple[Coeffs, Coeffs]:
     return num, den
 
 
-def _frac_sqrt(value: Fraction) -> Optional[Fraction]:
+def _frac_sqrt(value: Fraction) -> Fraction | None:
     if value < 0:
         return None
     rn = math.isqrt(value.numerator)
@@ -230,7 +229,7 @@ def _frac_sqrt(value: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-def _psqrt(a: Coeffs) -> Optional[Coeffs]:
+def _psqrt(a: Coeffs) -> Coeffs | None:
     """Exact polynomial square root, or None if `a` is not a perfect square."""
     if not a:
         return ()
@@ -531,7 +530,7 @@ class Scalar(Frozen):
         return _from_fraction(Fraction(c.numerator * self._d[-1] * num * bd,
                                        c.denominator * den * bn))
 
-    def sqrt_if_square(self) -> Optional["Scalar"]:
+    def sqrt_if_square(self) -> Scalar | None:
         """Exact square root within the field, or None."""
         rn = _psqrt(self.num_coeffs)
         if rn is None:
@@ -672,7 +671,7 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     return _reduced(a._c * b._c, n, tuple(_imul(a._d, b._d)))
 
 
-def _rational_value(v: Scalar) -> Optional[Fraction]:
+def _rational_value(v: Scalar) -> Fraction | None:
     """The value of a rational Scalar (a monic constant denominator is 1), else None."""
     if len(v._n) <= 1 and len(v._d) == 1:
         return v._c
@@ -721,6 +720,8 @@ def _poly_str(coeffs: Coeffs) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+ScalarLike = Scalar | int | Fraction
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 X = Scalar.indeterminate()
@@ -739,14 +740,11 @@ class QuadExt(Frozen):
         _setattr(self, "beta", Scalar.coerce(beta))
         _setattr(self, "disc", Scalar.coerce(disc))
 
-    def _key(self) -> tuple:
-        return self.alpha, self.beta, self.disc
-
     @classmethod
     def embed(cls, value: ScalarLike, disc: ScalarLike) -> "QuadExt":
         return cls(Scalar.coerce(value), ZERO, Scalar.coerce(disc))
 
-    def _coerce_other(self, other) -> Optional["QuadExt"]:
+    def _coerce_other(self, other) -> QuadExt | None:
         if isinstance(other, QuadExt):
             if other.disc != self.disc:
                 raise ExtensionMismatchError(
@@ -848,7 +846,7 @@ class QuadExt(Frozen):
 # ---------------------------------------------------------------------------
 # native values
 
-Native = Union[int, Fraction]
+Native = int | Fraction
 
 
 def native(value) -> Native:

@@ -270,10 +270,6 @@ class SeriesReport(Frozen):
     """Outcome of checking generating-function series against the recurrence."""
 
     __slots__ = ("order", "ogf_ok", "egf_checked", "egf_ok")
-    order: int
-    ogf_ok: bool
-    egf_checked: bool
-    egf_ok: bool
 
 
 def series_verify(spec: HoradamSpec, order: int) -> SeriesReport:
@@ -330,14 +326,6 @@ class AdditionReport(Frozen):
 
     __slots__ = ("r", "s", "disc", "u_ok", "v_corrected_ok", "v_literal_ok",
                  "v_literal_lhs", "v_literal_rhs")
-    r: int
-    s: int
-    disc: Scalar
-    u_ok: bool
-    v_corrected_ok: bool
-    v_literal_ok: bool
-    v_literal_lhs: Scalar
-    v_literal_rhs: Scalar
 
 
 def addition_check(spec: HoradamSpec, r: int, s: int) -> AdditionReport:
@@ -358,17 +346,28 @@ def addition_check(spec: HoradamSpec, r: int, s: int) -> AdditionReport:
                           lift(lhs), lift(rhs))
 
 
-_PRESET_NAMES = ("u", "v", "fibonacci", "pell", "lucas_numbers",
-                 "cigler_qfib", "cigler_qlucas")
+# preset name -> the weights it takes; a weight it does not take is refused,
+# never ignored
+_PRESET_WEIGHTS = {"u": "st", "v": "st", "fibonacci": "", "pell": "",
+                   "lucas_numbers": "", "cigler_qfib": "t", "cigler_qlucas": "t"}
+_PRESET_NAMES = tuple(_PRESET_WEIGHTS)
 
 
 def preset(kind: str, s: ScalarLike | None = None, t: ScalarLike | None = None) -> HoradamSpec:
     """Well-known spec families by name.
 
     "u" and "v" need both weights.  The Cigler q-polynomial presets take the
-    constant weight t (default 1) and use the indeterminate for s.
+    constant weight t (default 1) and use the indeterminate for s.  The
+    other presets take no weight.  A weight a preset does not take raises
+    ValueError.
     """
     key = kind.strip().lower().replace("-", "_")
+    if key not in _PRESET_WEIGHTS:
+        raise ValueError(f"unknown preset {kind!r}; choose from {', '.join(_PRESET_NAMES)}")
+    ignored = [name for name, value in (("s", s), ("t", t))
+               if value is not None and name not in _PRESET_WEIGHTS[key]]
+    if ignored:
+        raise ValueError(f"preset {key!r} takes no weight {' or '.join(ignored)}")
     if key in ("u", "v"):
         if s is None or t is None:
             raise ValueError(f"preset {key!r} needs both s and t")
@@ -389,4 +388,3 @@ def preset(kind: str, s: ScalarLike | None = None, t: ScalarLike | None = None) 
         if key == "cigler_qfib":
             return HoradamSpec(ZERO, ONE, X, t_)
         return HoradamSpec(Scalar(2), X, X, t_)
-    raise ValueError(f"unknown preset {kind!r}; choose from {', '.join(_PRESET_NAMES)}")

@@ -40,12 +40,12 @@ print(json.dumps([at_start, after_triangle, code, out.getvalue().count("\\n")]))
 """
 
 
-def _fresh(code: str) -> list:
+def _fresh(code: str, *flags: str) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     env.pop("HBINOM_CACHE_DIR", None)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
 
@@ -70,6 +70,29 @@ def test_the_lazy_imports_load_where_they_are_used(tmp_path):
         "Report().to_dict()\n"
         "print(json.dumps([cached, stamped, 'datetime' in sys.modules]))\n")
     assert _fresh(code) == [True, False, True]
+
+
+# `typing` in a clean interpreter: `-S` skips the site hooks, which may import
+# it before hbinom does and so hide an import of it
+CLEAN_GUARD = """\
+import contextlib, io, json, sys
+import hbinom.cli
+seen = ["typing" in sys.modules]
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = hbinom.cli.main(argv)
+    seen.append([code, out.getvalue().count("\\n"), "typing" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_no_command_imports_typing_in_a_clean_interpreter(tmp_path):
+    runs = [["suite"],
+            ["triangle", "--preset", "pell", "--cache", str(tmp_path / "t.jsonl")],
+            ["verify", "--preset", "cigler_qfib", "--family", "binet", "--max-n", "4"]]
+    seen = _fresh(CLEAN_GUARD.format(runs=runs), "-S")
+    assert seen == [False, [0, 84, False], [0, 66, False], [0, 7, False]]
+    assert (tmp_path / "t.jsonl").stat().st_size > 0
 
 
 # -- equality and hashes ------------------------------------------------------

@@ -5,9 +5,12 @@ Standard library only, so it runs where pytest is not installed:
 
     python tools/startup.py [--runs N] > startup.json
 
-Each of the N runs starts a new interpreter with this checkout's `src` first
-on `PYTHONPATH`.  The child times the import with `time.perf_counter` and
-lists the modules that were not in `sys.modules` before it.  The report gives
+Each of the N runs starts a new interpreter with `-S` and this checkout's
+`src` first on `PYTHONPATH`.  `-S` skips the `site` module, so no site hook
+can import a module before the package does and hide its cost: the time and
+the modules loaded are those of a clean interpreter.  The child times the
+import with `time.perf_counter` and lists the modules that were not in
+`sys.modules` before it.  The report gives
 the median, the quartiles and every run of the import time and of the whole
 child's wall time, the interpreter, whether it may write bytecode (with
 `PYTHONDONTWRITEBYTECODE` set every run compiles `src/` again), and the
@@ -55,7 +58,7 @@ def measure(runs: int) -> dict:
     imports, walls, child = [], [], None
     for _ in range(runs):
         t0 = time.perf_counter()
-        out = subprocess.run([sys.executable, "-c", CHILD], env=env, check=True,
+        out = subprocess.run([sys.executable, "-S", "-c", CHILD], env=env, check=True,
                              capture_output=True, text=True, timeout=120)
         walls.append(time.perf_counter() - t0)
         child = json.loads(out.stdout)
