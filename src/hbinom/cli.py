@@ -117,20 +117,42 @@ def _rows_to_stream(rows: list[dict], fmt: str, header: list[str]) -> str:
 
 TRIANGLE_HEADER = ["n", "k", "value"]
 
+# Cells in one write of a text or csv triangle, and records in one write of a
+# cache batch: neither the output nor the batch is ever held as one string.
+CHUNK_CELLS = 1024
+
+
+def _slices(items: list):
+    """`items` in consecutive slices of CHUNK_CELLS, at least one slice."""
+    for i in range(0, max(len(items), 1), CHUNK_CELLS):
+        yield items[i:i + CHUNK_CELLS]
+
+
+def _triangle_chunks(cells: list[tuple], fmt: str):
+    """`_rows_to_stream` of (n, k, value) cells, in pieces of at most
+    CHUNK_CELLS cells: a text line written as an f-string, csv cells handed to
+    `csv.writer` as tuples.  Json is one piece, the whole `json.dumps`."""
+    if fmt == "json":
+        yield _rows_to_stream([{"n": n, "k": k, "value": v} for n, k, v in cells],
+                              fmt, TRIANGLE_HEADER)
+    elif fmt == "csv":
+        # a fresh buffer for each piece: a rewound StringIO keeps its text
+        # at four bytes a character
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(TRIANGLE_HEADER)
+        for chunk in _slices(cells):
+            csv.writer(buf, lineterminator="\n").writerows(
+                (n, k, _render_value(v)) for n, k, v in chunk)
+            yield buf.getvalue()
+            buf = io.StringIO()
+    else:
+        for chunk in _slices(cells):
+            yield "\n".join([f"{n}  {k}  {_render_value(v)}" for n, k, v in chunk]) + "\n"
+
 
 def _triangle_to_stream(cells: list[tuple], fmt: str) -> str:
-    """`_rows_to_stream` of (n, k, value) cells, with a text line written as
-    an f-string and csv cells handed to `csv.writer` as tuples."""
-    if fmt == "json":
-        return _rows_to_stream([{"n": n, "k": k, "value": v} for n, k, v in cells],
-                               fmt, TRIANGLE_HEADER)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRIANGLE_HEADER)
-        writer.writerows((n, k, _render_value(v)) for n, k, v in cells)
-        return buf.getvalue()
-    return "\n".join([f"{n}  {k}  {_render_value(v)}" for n, k, v in cells]) + "\n"
+    """The whole output of `_triangle_chunks` as one string."""
+    return "".join(_triangle_chunks(cells, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +165,26 @@ def _triangle_to_stream(cells: list[tuple], fmt: str) -> str:
 CACHE_FORMAT = 1
 
 
+def _sha256():
+    """sha256 from the interpreter's builtin module, which loads no OpenSSL:
+    `_sha2` from CPython 3.12 on, `_sha256` before.  `hashlib`'s where
+    neither exists.  Imported here: only a cached triangle needs a digest."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def triangle_digest(spec: HoradamSpec, kind: str, parts: tuple[int, ...]) -> str:
-    # imported here: only a cached triangle needs its digest
-    import hashlib
     payload = json.dumps({"cache_format": CACHE_FORMAT, "engine": ENGINE_VERSION,
                           "kind": kind, "parts": list(parts),
                           "spec": spec.to_json()},
                          sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _sha256()(payload.encode()).hexdigest()[:16]
 
 
 def default_cache_path() -> str | None:
@@ -231,13 +265,13 @@ def _encode_records(records: list[dict]) -> str:
 
 
 def append_cache(path: str, records: list[dict]) -> None:
-    """Append one JSON line per record, the whole batch in one write under an
-    exclusive `flock`, so concurrent appends never interleave.  An unterminated
-    last line, which `load_cache` skips, is cut off first so the batch starts
-    on a fresh line."""
+    """Append one JSON line per record, the bytes of `_encode_records`.  The
+    batch is encoded and written CHUNK_CELLS records at a time, all under one
+    exclusive `flock`, so concurrent appends never interleave.  An
+    unterminated last line, which `load_cache` skips, is cut off first so the
+    batch starts on a fresh line."""
     if not records:
         return
-    payload = _encode_records(records).encode()
     parent = os.path.dirname(path)
     try:
         if parent:
@@ -249,7 +283,8 @@ def append_cache(path: str, records: list[dict]) -> None:
                 if fh.read(1) != b"\n":
                     fh.seek(0)
                     fh.truncate(fh.read().rfind(b"\n") + 1)
-            fh.write(payload)
+            for chunk in _slices(records):
+                fh.write(_encode_records(chunk).encode())
     except OSError as exc:
         raise ConfigError(f"cannot write cache {path}: {exc}") from exc
 
@@ -357,13 +392,18 @@ def _parse_parts(text: str | None) -> tuple[int, ...]:
 
 def emit_triangle(spec: HoradamSpec, kind: str, max_n: int, fmt: str = "csv",
                   parts: tuple[int, ...] = (),
-                  cache_path: str | None = None) -> str:
-    """Rendered triangle for `spec`, rows in lexicographic (n, k) order.
+                  cache_path: str | None = None) -> None:
+    """Write the triangle for `spec` to stdout, rows in lexicographic (n, k)
+    order, in pieces of `_triangle_chunks`.  Every cell is computed, and the
+    cache appended, before the first write, so a zero term or a cache that
+    cannot be written leaves stdout empty.
 
     Repeat calls with the same cache are byte-identical: cached cells are
     replayed verbatim, never recomputed."""
-    return _triangle_to_stream(triangle_rows(spec, kind, parts, max_n, cache_path),
-                               fmt)
+    cells = triangle_rows(spec, kind, parts, max_n, cache_path)
+    write = sys.stdout.write
+    for chunk in _triangle_chunks(cells, fmt):
+        write(chunk)
 
 
 def cmd_triangle(args) -> int:
@@ -378,8 +418,7 @@ def cmd_triangle(args) -> int:
     cache_path = args.cache or default_cache_path()
     if cache_path:
         _check_destination(cache_path, "cache", on_demand=True)
-    sys.stdout.write(emit_triangle(spec, args.kind, args.max_n, args.format,
-                                   parts, cache_path))
+    emit_triangle(spec, args.kind, args.max_n, args.format, parts, cache_path)
     return 0
 
 
@@ -543,12 +582,12 @@ class SuiteConfig:
             if not isinstance(entry.get("preset", ""), str):
                 raise ConfigError(f"spec {name!r}: preset must be a string")
             if "preset" in entry:
-                s = _scalar_from_text(entry["s"]) if "s" in entry else None
-                t = _scalar_from_text(entry["t"]) if "t" in entry else None
                 try:
+                    s = _scalar_from_text(entry["s"]) if "s" in entry else None
+                    t = _scalar_from_text(entry["t"]) if "t" in entry else None
                     specs.append((name, preset(entry["preset"], s=s, t=t)))
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
+                except (ConfigError, ValueError) as exc:
+                    raise ConfigError(f"spec {name!r}: {exc}") from exc
             elif "spec" in entry:
                 if "s" in entry or "t" in entry:
                     raise ConfigError(f"spec {name!r}: s and t apply only to a preset")

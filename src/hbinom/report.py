@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import json
+import time
 
 ENGINE_VERSION = "0.1.0"
 
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
+
+
+def utc_isoformat(ns: int) -> str:
+    """The instant `ns` nanoseconds after the epoch as
+    `datetime.now(timezone.utc).isoformat()` writes it: microseconds floored,
+    `.ffffff` left out when they are 0, and the suffix `+00:00`."""
+    seconds, us = divmod(ns // 1000, 10 ** 6)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{us:06d}+00:00" if us else f"{stamp}+00:00"
 
 
 class CheckRecord:
@@ -67,9 +77,7 @@ class Report:
 
     def to_dict(self, timestamp: str | None = None) -> dict:
         if timestamp is None:
-            # imported here: only a report without a given timestamp reads the clock
-            from datetime import datetime, timezone
-            timestamp = datetime.now(timezone.utc).isoformat()
+            timestamp = utc_isoformat(time.time_ns())
         return {
             "engine_version": ENGINE_VERSION,
             "generated_at": timestamp,

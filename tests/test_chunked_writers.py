@@ -1,0 +1,148 @@
+"""The triangle and its cache batch are written in pieces of `CHUNK_CELLS`
+cells, only after every cell is computed: the pieces join to the reference
+bytes, no piece holds more than one chunk, concurrent batches of several
+pieces stay whole, and a cache that cannot be written leaves stdout empty.
+The cache key's sha256 from the builtin module matches `hashlib`'s."""
+
+import errno
+import hashlib
+import importlib.util
+import itertools
+import json
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+from hbinom import cli
+from hbinom.cli import (CHUNK_CELLS, TRIANGLE_HEADER, _encode_records, _rows_to_stream,
+                        append_cache, main, triangle_rows)
+from hbinom.sequences import preset
+
+
+class Recorder:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("name,max_n,fmt,chunk", [
+    ("fibonacci", 80, "text", CHUNK_CELLS),
+    ("fibonacci", 80, "csv", CHUNK_CELLS),
+    # 91 cells of quoted coefficient lists, over a smaller chunk
+    ("cigler_qlucas", 12, "csv", 32),
+])
+def test_a_triangle_is_written_one_chunk_at_a_time(monkeypatch, name, max_n, fmt, chunk):
+    monkeypatch.setattr(cli, "CHUNK_CELLS", chunk)
+    cells = triangle_rows(preset(name), "binomial", (), max_n, None)
+    assert len(cells) > 2 * chunk
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["triangle", "--preset", name, "--max-n", str(max_n), "--format", fmt]) == 0
+    assert len(out.writes) == -(-len(cells) // chunk)
+    header = 1 if fmt == "csv" else 0
+    assert all(text.count("\n") <= chunk + (header if i == 0 else 0)
+               for i, text in enumerate(out.writes))
+    reference = _rows_to_stream([{"n": n, "k": k, "value": v} for n, k, v in cells],
+                                fmt, TRIANGLE_HEADER)
+    assert "".join(out.writes) == reference
+
+
+def _records(count):
+    """A batch of string, list and object values, with the spec_hash changing
+    inside it."""
+    values = ["-12/7", ["1", "-2/3"], {"den": ["5"], "num": ["1", "1"]}, "3" * 90]
+    return [{"spec_hash": "0123456789abcdef" if i < count // 2 else "fedcba9876543210",
+             "n": i // 50, "k": i % 50, "value": values[i % len(values)]}
+            for i in range(count)]
+
+
+def test_a_batch_of_several_slices_appends_the_encoder_bytes(tmp_path, monkeypatch):
+    records = _records(2 * CHUNK_CELLS + 452)
+    encoded = []
+
+    def encode(batch):
+        encoded.append(len(batch))
+        return _encode_records(batch)
+
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"k":0,"n":0,"spec_hash":"ab","value":"1"}\n{"k":1,"n"')
+    monkeypatch.setattr(cli, "_encode_records", encode)
+    append_cache(str(path), records)
+    assert encoded == [CHUNK_CELLS, CHUNK_CELLS, 452]
+    assert path.read_bytes() == (b'{"k":0,"n":0,"spec_hash":"ab","value":"1"}\n'
+                                 + _encode_records(records).encode())
+
+
+_APPENDER = """
+import sys, time
+from hbinom.cli import append_cache
+path, tag, start = sys.argv[1], sys.argv[2], float(sys.argv[3])
+time.sleep(max(0.0, start - time.time()))
+for n in range(4):
+    append_cache(path, [{"spec_hash": tag, "n": n, "k": k, "value": "7" * 60}
+                        for k in range(2500)])
+"""
+
+
+def test_concurrent_batches_of_several_slices_stay_whole(tmp_path):
+    cache = tmp_path / "tri.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = str(time.time() + 1.0)
+    procs = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(cache), tag, start],
+                              env=env) for tag in ("a", "b")]
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0
+    text = cache.read_text()
+    assert text.endswith("\n")
+    records = [json.loads(line) for line in text.splitlines()]
+    batches = [[r["k"] for r in run] for _, run in
+               itertools.groupby(records, key=lambda r: (r["spec_hash"], r["n"]))]
+    assert len(batches) == 8
+    assert all(batch == list(range(2500)) for batch in batches)
+
+
+def test_a_cache_that_cannot_be_written_prints_no_cells(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "t.jsonl"
+    opened = []
+
+    def refuse(path, mode="r", *args, **kwargs):
+        opened.append(mode)
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    code = main(["triangle", "--preset", "fibonacci", "--max-n", "80", "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, opened) == (2, "", ["a+b"])
+    assert captured.err == (f"error: cannot write cache {cache}: [Errno {errno.EACCES}] "
+                            f"{os.strerror(errno.EACCES)}: '{cache}'\n")
+    assert not cache.exists()
+
+
+PAYLOADS = [b"", b"a", b'{"cache_format":1}' * 9, bytes(range(256)) * 40,
+            "é\U0001f600".encode()]
+
+
+def test_the_builtin_sha256_matches_hashlib():
+    if not (importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256")):
+        pytest.skip("no builtin sha256 module in this interpreter")
+    sha256 = cli._sha256()
+    assert sha256.__module__ in ("_sha2", "_sha256")
+    for payload in PAYLOADS:
+        assert sha256(payload).hexdigest() == hashlib.sha256(payload).hexdigest()
+
+
+def test_the_digest_falls_back_to_hashlib(monkeypatch):
+    spec = preset("pell")
+    digest = cli.triangle_digest(spec, "binomial", ())
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert cli._sha256() is hashlib.sha256
+    assert cli.triangle_digest(spec, "binomial", ()) == digest

@@ -56,7 +56,7 @@ def test_inexact_suite_spec_values_exit_2(capsys, tmp_path, value, message):
                          ids=["float", "bool", "integral_float", "zero_denominator", "list"])
 def test_inexact_preset_weights_exit_2(capsys, tmp_path, weight):
     code, out, err = _suite(capsys, tmp_path, {"preset": "u", "s": weight, "t": "1"})
-    assert (code, out, err) == (2, "", f"error: not a rational value: {weight!r}\n")
+    assert (code, out, err) == (2, "", f"error: spec 'x': not a rational value: {weight!r}\n")
 
 
 def test_ints_and_strings_are_still_read(capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from hbinom.cli import ConfigError, SuiteConfig, main
 from hbinom.ring import X, Scalar
-from hbinom.sequences import preset
+from hbinom.sequences import _PRESET_NAMES, preset
 
 
 def run_cli(capsys, *argv):
@@ -93,13 +93,18 @@ PELL_SPEC = {"a": 0, "b": 1, "s": 2, "t": 1}
      "spec 'x': give either preset or spec, not both"),
     ({"name": "x", "spec": PELL_SPEC, "s": 5}, "spec 'x': s and t apply only to a preset"),
     ({"name": "x", "spec": PELL_SPEC, "t": 5}, "spec 'x': s and t apply only to a preset"),
-    ({"name": "x", "preset": "pell", "s": 5}, "preset 'pell' takes no weight s"),
+    ({"name": "x", "preset": "pell", "s": 5}, "spec 'x': preset 'pell' takes no weight s"),
     ({"name": "x", "preset": "cigler_qfib", "s": 5, "t": 1},
-     "preset 'cigler_qfib' takes no weight s"),
+     "spec 'x': preset 'cigler_qfib' takes no weight s"),
     ({"name": "x", "preset": "fibonacci", "weight": 3}, "spec 'x': unknown keys: weight"),
     ({"name": "x", "spec": PELL_SPEC, "S": 1, "note": ""}, "spec 'x': unknown keys: S, note"),
+    ({"name": "x", "preset": "nonesuch"},
+     "spec 'x': unknown preset 'nonesuch'; choose from " + ", ".join(_PRESET_NAMES)),
+    ({"name": "x", "preset": "u", "s": 3}, "spec 'x': preset 'u' needs both s and t"),
+    ({"name": "x", "preset": "v", "s": 3, "t": "1/0"},
+     "spec 'x': not a rational value: '1/0'"),
 ], ids=["preset_and_spec", "spec_s", "spec_t", "pell_s", "qfib_s", "weight_key",
-        "two_unknown_keys"])
+        "two_unknown_keys", "unknown_preset", "u_s_only", "bad_t"])
 def test_spec_entries_refuse_what_they_would_ignore(capsys, tmp_path, entry, message):
     config = {"specs": [entry], "max_n": 4, "oracles": []}
     with pytest.raises(ConfigError, match=f"^{message}$"):

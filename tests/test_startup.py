@@ -4,6 +4,7 @@ dataclasses: their equality, hashes, immutability and round trips.
 The start-up guard runs in a fresh interpreter, since the test process has
 long since imported everything."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from hbinom.cli import SuiteConfig, default_config
 from hbinom.recurrences import (NATIVE, SCALAR, CellCheck, CoeffFamily, CoeffPair,
                                 VWeightedCell, family_coeffs, resolve_family,
                                 verify_pascal, vweighted_verify)
+from hbinom.report import utc_isoformat
 from hbinom.ring import ONE, ZERO, QuadExt, Scalar
 from hbinom.sequences import (AdditionReport, BinetSpec, HoradamSpec, SeriesReport,
                               addition_check, preset, series_verify, to_binet)
@@ -58,18 +60,33 @@ def test_import_loads_no_dataclass_machinery_and_no_lazy_module():
 
 
 def test_the_lazy_imports_load_where_they_are_used(tmp_path):
+    """A cached triangle imports the builtin sha256 module, and neither it nor
+    a report loads `hashlib`, OpenSSL's `_hashlib` or `datetime`."""
+    builtin = [m for m in ("_sha2", "_sha256") if importlib.util.find_spec(m)][:1]
+    if not builtin:
+        pytest.skip("no builtin sha256 module in this interpreter")
+    names = ("_sha2", "_sha256", "hashlib", "_hashlib", "datetime")
     code = (
         "import json, sys\n"
         "from hbinom.cli import triangle_rows\n"
         "from hbinom.report import Report\n"
         "from hbinom.sequences import preset\n"
+        f"loaded = lambda: sorted(m for m in {names!r} if m in sys.modules)\n"
         f"triangle_rows(preset('pell'), 'binomial', (), 3, {str(tmp_path / 't.jsonl')!r})\n"
-        "cached = 'hashlib' in sys.modules\n"
-        "Report().to_dict('2000-01-01T00:00:00+00:00')\n"
-        "stamped = 'datetime' in sys.modules\n"
-        "Report().to_dict()\n"
-        "print(json.dumps([cached, stamped, 'datetime' in sys.modules]))\n")
-    assert _fresh(code) == [True, False, True]
+        "cached = loaded()\n"
+        "stamp = Report().to_dict()['generated_at']\n"
+        "print(json.dumps([cached, loaded(), stamp[-6:]]))\n")
+    assert _fresh(code) == [builtin, builtin, "+00:00"]
+
+
+@pytest.mark.parametrize("ns", [0, 951_782_400_000_000_000, 1_700_000_000_000_000_999,
+                                1_700_000_000_000_001_000, 1_792_461_234_567_891_234],
+                         ids=["epoch", "whole_second", "under_a_microsecond",
+                              "one_microsecond", "fraction"])
+def test_the_report_timestamp_is_the_datetime_isoformat(ns):
+    from datetime import datetime, timedelta, timezone
+    instant = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=ns // 1000)
+    assert utc_isoformat(ns) == instant.isoformat()
 
 
 # `typing` in a clean interpreter: `-S` skips the site hooks, which may import

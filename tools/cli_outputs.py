@@ -11,7 +11,10 @@ Two versions agree when their files are byte-identical.  The cases mix int
 and Fraction values (rational specs with integral and non-integral entries),
 polynomial cells (some with fractional contents), rational-function cells,
 closed-form pairs on split fractional and polynomial roots, Pascal checks
-whose cells cancel a polynomial gcd, and the default suite.
+whose cells cancel a polynomial gcd, and the default suite.  A cached
+Fibonacci triangle spans several chunks of the triangle and cache writers,
+and its cache file carries a `spec_hash` from the builtin sha256 module of
+the version that ran (`_sha256` before CPython 3.12, `_sha2` from 3.12 on).
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ CACHED = {
     "fractional": ("--spec", FRACTIONAL, "--max-n", "12"),
     "cigler_qlucas": ("--preset", "cigler_qlucas", "--max-n", "8"),
     "cigler_qlucas_fractional_t": ("--preset", "cigler_qlucas", "--t=-17/28", "--max-n", "8"),
+    # several output chunks and cache writes (3,321 cells against
+    # `cli.CHUNK_CELLS`), in both chunked formats
+    **{f"fibonacci_{fmt}": ("--preset", "fibonacci", "--max-n", "80", "--format", fmt)
+       for fmt in ("text", "csv")},
 }
 
 CASES = {
