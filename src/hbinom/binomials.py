@@ -16,7 +16,8 @@ of its spec's context: `int`/`Fraction` values for a spec whose entries are
 all rational, `Scalar` values for any other spec and for a plain callable.
 The readers `factorial`, `binomial`, `row` and `multinomial` give `Scalar`
 values either way; the Pascal-family checks read the held cells
-(`own_binomial`).
+(`own_binomial`), and the triangle renders the held values (`own_row`,
+`own_multinomial`).
 """
 
 from __future__ import annotations
@@ -121,12 +122,17 @@ class BinomialTable:
     def binomial(self, n: int, k: int) -> Scalar:
         return lift(self.own_binomial(n, k))
 
-    def multinomial(self, parts: Iterable[int]) -> Scalar:
+    def own_multinomial(self, parts: Iterable[int]):
+        """(p1 + p2 + ...)! / (p1! p2! ...) by the factorial ratio; 0 when a
+        part is negative."""
         parts = tuple(parts)
         if any(p < 0 for p in parts):
-            return ZERO
+            return self._own(ZERO)
         fact = self.own_factorial
-        return lift(ndiv(fact(sum(parts)), math.prod(fact(p) for p in parts)))
+        return ndiv(fact(sum(parts)), math.prod(fact(p) for p in parts))
+
+    def multinomial(self, parts: Iterable[int]) -> Scalar:
+        return lift(self.own_multinomial(parts))
 
 
 def mirror(half: list, n: int) -> tuple:

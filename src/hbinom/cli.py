@@ -150,11 +150,6 @@ def _triangle_chunks(cells: list[tuple], fmt: str):
             yield "\n".join([f"{n}  {k}  {_render_value(v)}" for n, k, v in chunk]) + "\n"
 
 
-def _triangle_to_stream(cells: list[tuple], fmt: str) -> str:
-    """The whole output of `_triangle_chunks` as one string."""
-    return "".join(_triangle_chunks(cells, fmt))
-
-
 # ---------------------------------------------------------------------------
 # triangle cache (JSONL, append-only)
 
@@ -243,34 +238,26 @@ def load_cache(path: str) -> dict[tuple[str, int, int], object]:
     return cache
 
 
-def _encode_records(records: list[dict]) -> str:
-    """One JSON line per record, the bytes of `JSONEncoder(sort_keys=True,
-    separators=(",", ":"))`.  A record is {"spec_hash": str, "n": int, "k":
-    int, "value": ...}; one with a string value is written by an f-string,
-    its value escaped by the encoder's own `encode_basestring_ascii` and its
-    spec_hash escaped once for each run of records that share it."""
+def _encode_records(cells: list[tuple], spec_hash: str) -> str:
+    """One JSON line per (n, k, value) cell of the triangle keyed by
+    `spec_hash`: the bytes of `JSONEncoder(sort_keys=True, separators=(",",
+    ":"))` on {"spec_hash", "n", "k", "value"}.  A string value is escaped by
+    the encoder's own `encode_basestring_ascii`, a list or an object encoded
+    by `_encode_compact`, and `spec_hash` is escaped once."""
     esc = json.encoder.encode_basestring_ascii
-    lines = []
-    spec_hash = middle = None
-    for rec in records:
-        value = rec["value"]
-        if type(value) is not str:
-            lines.append(_encode_compact(rec) + "\n")
-            continue
-        if rec["spec_hash"] != spec_hash:
-            spec_hash = rec["spec_hash"]
-            middle = f',"spec_hash":{esc(spec_hash)},"value":'
-        lines.append(f'{{"k":{rec["k"]},"n":{rec["n"]}{middle}{esc(value)}}}\n')
-    return "".join(lines)
+    middle = f',"spec_hash":{esc(spec_hash)},"value":'
+    return "".join([f'{{"k":{k},"n":{n}{middle}'
+                    f'{esc(v) if type(v) is str else _encode_compact(v)}}}\n'
+                    for n, k, v in cells])
 
 
-def append_cache(path: str, records: list[dict]) -> None:
-    """Append one JSON line per record, the bytes of `_encode_records`.  The
-    batch is encoded and written CHUNK_CELLS records at a time, all under one
-    exclusive `flock`, so concurrent appends never interleave.  An
-    unterminated last line, which `load_cache` skips, is cut off first so the
-    batch starts on a fresh line."""
-    if not records:
+def append_cache(path: str, cells: list[tuple], spec_hash: str) -> None:
+    """Append one JSON line per (n, k, value) cell, the bytes of
+    `_encode_records`.  The batch is encoded and written CHUNK_CELLS cells at
+    a time, all under one exclusive `flock`, so concurrent appends never
+    interleave.  An unterminated last line, which `load_cache` skips, is cut
+    off first so the batch starts on a fresh line."""
+    if not cells:
         return
     parent = os.path.dirname(path)
     try:
@@ -283,8 +270,8 @@ def append_cache(path: str, records: list[dict]) -> None:
                 if fh.read(1) != b"\n":
                     fh.seek(0)
                     fh.truncate(fh.read().rfind(b"\n") + 1)
-            for chunk in _slices(records):
-                fh.write(_encode_records(chunk).encode())
+            for chunk in _slices(cells):
+                fh.write(_encode_records(chunk, spec_hash).encode())
     except OSError as exc:
         raise ConfigError(f"cannot write cache {path}: {exc}") from exc
 
@@ -299,9 +286,9 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
                   max_n: int, cache_path: str | None) -> list[tuple]:
     """Triangle cells (n, k, value), value in JSON form, in lexicographic
     (n, k) order, consulting and updating the JSONL cache when a path is
-    given.  Cached values are reused verbatim.  Binomial rows come from
-    `BinomialTable.own_row`, and each mirrored pair C(n,k) = C(n,n-k) is
-    rendered once."""
+    given.  Cached values are reused verbatim, and the cells computed are
+    appended as they are.  Binomial rows come from `BinomialTable.own_row`,
+    and each mirrored pair C(n,k) = C(n,n-k) is rendered once."""
     digest = triangle_digest(spec, kind, parts) if cache_path else None
     cache = load_cache(cache_path) if cache_path else {}
     tbl = table_for(spec)
@@ -311,21 +298,22 @@ def triangle_rows(spec: HoradamSpec, kind: str, parts: tuple[int, ...],
         rendered = None
         for k in range(n + 1):
             value_json = cache.get((digest, n, k))
-            if value_json is None:
-                if kind == "binomial":
-                    if rendered is None:
-                        half = tbl.own_row(n)[:n // 2 + 1]
-                        rendered = mirror([_cell_json(v) for v in half], n)
-                    value_json = rendered[k]
-                else:
-                    rest = n - k - sum(parts)
-                    value_json = tbl.multinomial((k,) + parts + (rest,)).to_json()
-                if cache_path:
-                    fresh.append({"spec_hash": digest, "n": n, "k": k,
-                                  "value": value_json})
-            rows.append((n, k, value_json))
+            if value_json is not None:
+                rows.append((n, k, value_json))
+                continue
+            if kind == "binomial":
+                if rendered is None:
+                    half = tbl.own_row(n)[:n // 2 + 1]
+                    rendered = mirror([_cell_json(v) for v in half], n)
+                value_json = rendered[k]
+            else:
+                value_json = _cell_json(tbl.own_multinomial((k, *parts, n - k - sum(parts))))
+            cell = (n, k, value_json)
+            rows.append(cell)
+            if cache_path:
+                fresh.append(cell)
     if cache_path:
-        append_cache(cache_path, fresh)
+        append_cache(cache_path, fresh, digest)
     return rows
 
 
@@ -399,11 +387,19 @@ def emit_triangle(spec: HoradamSpec, kind: str, max_n: int, fmt: str = "csv",
     cannot be written leaves stdout empty.
 
     Repeat calls with the same cache are byte-identical: cached cells are
-    replayed verbatim, never recomputed."""
+    replayed verbatim, never recomputed.  A reader that closes stdout early
+    ends the writes, and what stdout still buffers goes to the null device,
+    quietly: the triangle and its cache batch are complete by then."""
     cells = triangle_rows(spec, kind, parts, max_n, cache_path)
     write = sys.stdout.write
-    for chunk in _triangle_chunks(cells, fmt):
-        write(chunk)
+    try:
+        for chunk in _triangle_chunks(cells, fmt):
+            write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_triangle(args) -> int:

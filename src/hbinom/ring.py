@@ -392,10 +392,6 @@ class Scalar(Frozen):
         return self._c == 1 and self._n == _I1 and self._d == _I1
 
     @property
-    def is_integer(self) -> bool:
-        return self.is_rational and self._c.denominator == 1
-
-    @property
     def is_integral(self) -> bool:
         """True when the value is a polynomial with integer coefficients."""
         # the ints are primitive, so c * ints is integral exactly when c is

@@ -1,5 +1,6 @@
 """Generalized factorials, binomials, multinomials, and the q-transfer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from hbinom.binomials import (ZeroTermError, fbinomial, ffactorial,
                               fmultinomial, integrality_scan,
                               multinomial_product_check, qstar_transfer,
                               table_for)
+from hbinom.cli import _cell_json
 from hbinom.oracles import gaussian_binomial
-from hbinom.ring import ONE, X, ZERO, Scalar
-from hbinom.sequences import HoradamSpec, preset, term
+from hbinom.ring import ONE, X, ZERO, Scalar, lift
+from hbinom.sequences import _PRESET_NAMES, HoradamSpec, preset, term
 
 FIB = preset("fibonacci")
 PELL = preset("pell")
@@ -62,6 +64,24 @@ def test_multinomials():
     assert fmultinomial(FIB, (5,)) == ONE
     assert fmultinomial(FIB, ()) == ONE
     assert fmultinomial(FIB, (3, -1, 2)) == ZERO
+
+
+@pytest.mark.parametrize("name", _PRESET_NAMES)
+def test_own_multinomial_is_the_lifted_factorial_ratio(name):
+    """The held multinomial, in the spec's own number type, lifts to the
+    ratio of the lifted factorials and renders as that Scalar's `to_json`."""
+    spec = preset(name, s=3, t=-2) if name in ("u", "v") else preset(name)
+    tbl = table_for(spec)
+    for parts in [(), (5,), (2, 1, 1), (0, 3, 2), (4, 0, 1, 2), (3, -1, 2), (-2,)]:
+        own = tbl.own_multinomial(parts)
+        assert type(own) in ((int, Fraction) if spec.is_rational else (Scalar,))
+        if any(p < 0 for p in parts):
+            expected = ZERO
+        else:
+            expected = tbl.factorial(sum(parts)) / math.prod(map(tbl.factorial, parts),
+                                                             start=ONE)
+        assert lift(own) == expected == tbl.multinomial(parts)
+        assert _cell_json(own) == expected.to_json()
 
 
 def test_binomial_is_two_part_multinomial():

@@ -1,7 +1,8 @@
 """The triangle and its cache batch are written in pieces of `CHUNK_CELLS`
 cells, only after every cell is computed: the pieces join to the reference
 bytes, no piece holds more than one chunk, concurrent batches of several
-pieces stay whole, and a cache that cannot be written leaves stdout empty.
+pieces stay whole, a cache that cannot be written leaves stdout empty, and
+a reader that closes stdout early ends the run with exit 0 and a whole cache.
 The cache key's sha256 from the builtin module matches `hashlib`'s."""
 
 import errno
@@ -32,6 +33,9 @@ class Recorder:
         self.writes.append(text)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("name,max_n,fmt,chunk", [
     ("fibonacci", 80, "text", CHUNK_CELLS),
@@ -55,30 +59,27 @@ def test_a_triangle_is_written_one_chunk_at_a_time(monkeypatch, name, max_n, fmt
     assert "".join(out.writes) == reference
 
 
-def _records(count):
-    """A batch of string, list and object values, with the spec_hash changing
-    inside it."""
+def _cells(count):
+    """A batch of string, list and object values."""
     values = ["-12/7", ["1", "-2/3"], {"den": ["5"], "num": ["1", "1"]}, "3" * 90]
-    return [{"spec_hash": "0123456789abcdef" if i < count // 2 else "fedcba9876543210",
-             "n": i // 50, "k": i % 50, "value": values[i % len(values)]}
-            for i in range(count)]
+    return [(i // 50, i % 50, values[i % len(values)]) for i in range(count)]
 
 
 def test_a_batch_of_several_slices_appends_the_encoder_bytes(tmp_path, monkeypatch):
-    records = _records(2 * CHUNK_CELLS + 452)
+    cells = _cells(2 * CHUNK_CELLS + 452)
     encoded = []
 
-    def encode(batch):
+    def encode(batch, spec_hash):
         encoded.append(len(batch))
-        return _encode_records(batch)
+        return _encode_records(batch, spec_hash)
 
     path = tmp_path / "t.jsonl"
     path.write_bytes(b'{"k":0,"n":0,"spec_hash":"ab","value":"1"}\n{"k":1,"n"')
     monkeypatch.setattr(cli, "_encode_records", encode)
-    append_cache(str(path), records)
+    append_cache(str(path), cells, "0123456789abcdef")
     assert encoded == [CHUNK_CELLS, CHUNK_CELLS, 452]
     assert path.read_bytes() == (b'{"k":0,"n":0,"spec_hash":"ab","value":"1"}\n'
-                                 + _encode_records(records).encode())
+                                 + _encode_records(cells, "0123456789abcdef").encode())
 
 
 _APPENDER = """
@@ -87,8 +88,7 @@ from hbinom.cli import append_cache
 path, tag, start = sys.argv[1], sys.argv[2], float(sys.argv[3])
 time.sleep(max(0.0, start - time.time()))
 for n in range(4):
-    append_cache(path, [{"spec_hash": tag, "n": n, "k": k, "value": "7" * 60}
-                        for k in range(2500)])
+    append_cache(path, [(n, k, "7" * 60) for k in range(2500)], tag)
 """
 
 
@@ -124,6 +124,54 @@ def test_a_cache_that_cannot_be_written_prints_no_cells(tmp_path, capsys, monkey
     assert captured.err == (f"error: cannot write cache {cache}: [Errno {errno.EACCES}] "
                             f"{os.strerror(errno.EACCES)}: '{cache}'\n")
     assert not cache.exists()
+
+
+def _triangle_to_pipe(max_n, fmt, cache, stdout):
+    """`hbinom triangle` on Fibonacci in a child whose stdout is buffered, as
+    it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    return subprocess.Popen([sys.executable, "-m", "hbinom.cli", "triangle", "--preset",
+                             "fibonacci", "--max-n", str(max_n), "--format", fmt,
+                             "--cache", str(cache)],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _whole_cache(cache, max_n):
+    reference = cache.parent / "reference.jsonl"
+    triangle_rows(preset("fibonacci"), "binomial", (), max_n, str(reference))
+    return cache.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly(tmp_path, fmt):
+    """`hbinom triangle ... | head -c 100`: exit 0, nothing on stderr, and the
+    whole cache batch written, since the batch is appended before the first
+    write."""
+    cache = tmp_path / "t.jsonl"
+    proc = _triangle_to_pipe(200, fmt, cache, subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err, len(head)) == (0, b"", 100)
+    assert _whole_cache(cache, 200)
+
+
+@pytest.mark.parametrize("max_n", [5, 200])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_pipe_closed_before_the_first_write_ends_the_run_quietly(tmp_path, fmt, max_n):
+    """A small triangle stays in stdout's buffer until the flush, which fails
+    inside the write loop too, and nothing is left to fail at exit."""
+    cache = tmp_path / "t.jsonl"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _triangle_to_pipe(max_n, fmt, cache, write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    assert _whole_cache(cache, max_n)
 
 
 PAYLOADS = [b"", b"a", b'{"cache_format":1}' * 9, bytes(range(256)) * 40,

@@ -280,8 +280,7 @@ from hbinom.cli import append_cache
 path, tag, start = sys.argv[1], sys.argv[2], float(sys.argv[3])
 time.sleep(max(0.0, start - time.time()))
 for n in range(20):
-    append_cache(path, [{"spec_hash": tag, "n": n, "k": k, "value": "9" * 200}
-                        for k in range(300)])
+    append_cache(path, [(n, k, "9" * 200) for k in range(300)], tag)
 """
 
 

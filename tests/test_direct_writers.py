@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbinom.binomials import table_for
-from hbinom.cli import (TRIANGLE_HEADER, ConfigError, _encode_records,
-                        _rows_to_stream, _triangle_to_stream, append_cache, load_cache,
-                        main, triangle_digest, triangle_rows)
+from hbinom.cli import (TRIANGLE_HEADER, ConfigError, _encode_records, _rows_to_stream,
+                        _triangle_chunks, append_cache, load_cache, main,
+                        triangle_digest, triangle_rows)
 from hbinom.sequences import HoradamSpec, _PRESET_NAMES, preset
 
 FORMATS = ("text", "csv", "json")
@@ -42,6 +42,10 @@ def _reference(cells, fmt):
                            fmt, TRIANGLE_HEADER)
 
 
+def _joined(cells, fmt):
+    return "".join(_triangle_chunks(cells, fmt))
+
+
 # -- rendering cells ----------------------------------------------------------
 
 
@@ -60,7 +64,7 @@ def test_cells_render_as_their_scalar_rows(name):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_direct_lines_match_the_reference_writer(name, fmt, kind, parts):
     cells = triangle_rows(SPECS[name], kind, parts, _max_n(name), None)
-    assert _triangle_to_stream(cells, fmt) == _reference(cells, fmt)
+    assert _joined(cells, fmt) == _reference(cells, fmt)
 
 
 # replayed values may be any string, list or object a cache file holds
@@ -85,7 +89,7 @@ def _written(write, cells, fmt):
                 min_size=1, max_size=6))
 def test_direct_lines_match_the_reference_writer_on_any_value(cells):
     for fmt in FORMATS:
-        assert _written(_triangle_to_stream, cells, fmt) == _written(_reference, cells, fmt)
+        assert _written(_joined, cells, fmt) == _written(_reference, cells, fmt)
 
 
 # -- cache records --------------------------------------------------------------
@@ -93,12 +97,19 @@ def test_direct_lines_match_the_reference_writer_on_any_value(cells):
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def _encoded(cells, spec_hash):
+    """The reference bytes: one `JSONEncoder` record per cell."""
+    return "".join(_ENCODE({"spec_hash": spec_hash, "n": n, "k": k, "value": v}) + "\n"
+                   for n, k, v in cells)
+
+
+CELL = st.tuples(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), VALUES)
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.lists(st.fixed_dictionaries({"spec_hash": TEXT, "n": st.integers(0, 10 ** 9),
-                                       "k": st.integers(0, 10 ** 9), "value": VALUES}),
-                max_size=6))
-def test_direct_records_match_the_encoder(records):
-    assert _encode_records(records) == "".join(_ENCODE(rec) + "\n" for rec in records)
+@given(st.lists(CELL, max_size=6), TEXT)
+def test_direct_records_match_the_encoder(cells, spec_hash):
+    assert _encode_records(cells, spec_hash) == _encoded(cells, spec_hash)
 
 
 # what `triangle_rows` appends: a native value's str, or the coefficient list
@@ -111,15 +122,12 @@ CELL_VALUES = st.one_of(NATIVE_TEXT, st.lists(NATIVE_TEXT, min_size=2, max_size=
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["0123456789abcdef", "fedcba9876543210",
-                                           '"\\\u2028']),
-                          st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), CELL_VALUES),
-                max_size=8))
-def test_triangle_batches_match_the_encoder(cells):
-    # runs of records sharing one spec_hash, as a triangle's batch has, and
-    # changes of spec_hash between them
-    records = [{"spec_hash": h, "n": n, "k": k, "value": v} for h, n, k, v in cells]
-    assert _encode_records(records) == "".join(_ENCODE(rec) + "\n" for rec in records)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 9), st.integers(0, 10 ** 9), CELL_VALUES),
+                max_size=8),
+       st.sampled_from(["0123456789abcdef", '"\\\u2028é']))
+def test_triangle_batches_match_the_encoder(cells, spec_hash):
+    # a triangle's batch: one spec_hash, a hex digest or one that needs escaping
+    assert _encode_records(cells, spec_hash) == _encoded(cells, spec_hash)
 
 
 def test_a_cached_triangle_appends_the_encoder_bytes(tmp_path):
@@ -132,15 +140,22 @@ def test_a_cached_triangle_appends_the_encoder_bytes(tmp_path):
             for n, k, v in cells)
 
 
+@pytest.mark.parametrize("kind,parts", [("binomial", ()), ("multinomial-slice", (1, 2))])
+def test_a_cold_cache_of_list_and_object_cells_is_the_encoder_bytes(tmp_path, kind, parts):
+    # cigler_qlucas cells are strings, coefficient lists and {num, den} objects
+    spec = preset("cigler_qlucas")
+    path = tmp_path / "t.jsonl"
+    cells = triangle_rows(spec, kind, parts, 12, str(path))
+    assert {type(v) for _, _, v in cells} == {str, list, dict}
+    assert path.read_text() == _encoded(cells, triangle_digest(spec, kind, parts))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.fixed_dictionaries({"spec_hash": TEXT, "n": st.integers(0, 10 ** 9),
-                                       "k": st.integers(0, 10 ** 9), "value": VALUES}),
-                min_size=1, max_size=6))
-def test_appended_records_load_back(tmp_path_factory, records):
+@given(st.lists(CELL, min_size=1, max_size=6), TEXT)
+def test_appended_records_load_back(tmp_path_factory, cells, spec_hash):
     path = tmp_path_factory.mktemp("cache") / "t.jsonl"
-    append_cache(str(path), records)
-    expected = {(r["spec_hash"], r["n"], r["k"]): r["value"] for r in records}
-    assert load_cache(str(path)) == expected
+    append_cache(str(path), cells, spec_hash)
+    assert load_cache(str(path)) == {(spec_hash, n, k): v for n, k, v in cells}
 
 
 # -- reading records --------------------------------------------------------------

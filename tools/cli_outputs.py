@@ -15,6 +15,8 @@ whose cells cancel a polynomial gcd, and the default suite.  A cached
 Fibonacci triangle spans several chunks of the triangle and cache writers,
 and its cache file carries a `spec_hash` from the builtin sha256 module of
 the version that ran (`_sha256` before CPython 3.12, `_sha2` from 3.12 on).
+The cached cases write cache records of every value type (strings, lists
+and {num, den} objects), for binomial triangles and multinomial slices.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ CACHED = {
     "fractional": ("--spec", FRACTIONAL, "--max-n", "12"),
     "cigler_qlucas": ("--preset", "cigler_qlucas", "--max-n", "8"),
     "cigler_qlucas_fractional_t": ("--preset", "cigler_qlucas", "--t=-17/28", "--max-n", "8"),
+    "cigler_qlucas_fractional_t_csv": ("--preset", "cigler_qlucas", "--t=-17/28",
+                                       "--max-n", "8", "--format", "csv"),
+    # multinomial slices: Fraction cells, and rational-function cells with
+    # fractional contents
+    **{f"{name}_slice": (*args, "--max-n", "10", "--kind", "multinomial-slice",
+                         "--parts", "1,2")
+       for name, args in (("fractional", ("--spec", FRACTIONAL)),
+                          ("cigler_qlucas_fractional_t", ("--preset", "cigler_qlucas",
+                                                          "--t=-17/28")))},
     # several output chunks and cache writes (3,321 cells against
     # `cli.CHUNK_CELLS`), in both chunked formats
     **{f"fibonacci_{fmt}": ("--preset", "fibonacci", "--max-n", "80", "--format", fmt)
