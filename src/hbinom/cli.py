@@ -349,13 +349,29 @@ def _check_destination(path: str, what: str, on_demand: bool) -> None:
 # subcommands
 
 
+def _write_out(pieces) -> None:
+    """Write the strings of `pieces` to stdout and flush it.  A reader that
+    closes stdout early ends the writes, and what stdout still buffers goes
+    to the null device, quietly, so nothing is left to fail at exit; the
+    command still returns its own exit code."""
+    write = sys.stdout.write
+    try:
+        for piece in pieces:
+            write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_seq(args) -> int:
     spec = parse_spec_args(args)
     if args.max_n < 0:
         raise ConfigError("--max-n must be nonnegative")
     rows = [{"n": n, "value": term(spec, n).to_json()}
             for n in range(args.max_n + 1)]
-    sys.stdout.write(_rows_to_stream(rows, args.format, ["n", "value"]))
+    _write_out([_rows_to_stream(rows, args.format, ["n", "value"])])
     return 0
 
 
@@ -365,7 +381,7 @@ def cmd_binom(args) -> int:
         raise ConfigError("indices must be nonnegative")
     value = fbinomial(spec, args.n, args.k)
     rows = [{"n": args.n, "k": args.k, "value": value.to_json()}]
-    sys.stdout.write(_rows_to_stream(rows, args.format, ["n", "k", "value"]))
+    _write_out([_rows_to_stream(rows, args.format, ["n", "k", "value"])])
     return 0
 
 
@@ -378,9 +394,8 @@ def _parse_parts(text: str | None) -> tuple[int, ...]:
         raise ConfigError(f"--parts must be comma-separated integers: {text!r}") from exc
 
 
-def emit_triangle(spec: HoradamSpec, kind: str, max_n: int, fmt: str = "csv",
-                  parts: tuple[int, ...] = (),
-                  cache_path: str | None = None) -> None:
+def emit_triangle(spec: HoradamSpec, kind: str, max_n: int, fmt: str,
+                  parts: tuple[int, ...], cache_path: str | None) -> None:
     """Write the triangle for `spec` to stdout, rows in lexicographic (n, k)
     order, in pieces of `_triangle_chunks`.  Every cell is computed, and the
     cache appended, before the first write, so a zero term or a cache that
@@ -388,18 +403,10 @@ def emit_triangle(spec: HoradamSpec, kind: str, max_n: int, fmt: str = "csv",
 
     Repeat calls with the same cache are byte-identical: cached cells are
     replayed verbatim, never recomputed.  A reader that closes stdout early
-    ends the writes, and what stdout still buffers goes to the null device,
-    quietly: the triangle and its cache batch are complete by then."""
+    ends the writes (`_write_out`): the triangle and its cache batch are
+    complete by then."""
     cells = triangle_rows(spec, kind, parts, max_n, cache_path)
-    write = sys.stdout.write
-    try:
-        for chunk in _triangle_chunks(cells, fmt):
-            write(chunk)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _write_out(_triangle_chunks(cells, fmt))
 
 
 def cmd_triangle(args) -> int:
@@ -442,10 +449,7 @@ def cmd_verify(args) -> int:
         pascal = verify_pascal(family.seq, family, args.max_n)
         for cell in pascal.cells:
             report.add(f"pascal:{tag}", (cell.r, cell.s), cell.ok, *_witness(cell))
-    if args.format == "json":
-        sys.stdout.write(report.to_json() + "\n")
-    else:
-        sys.stdout.write(report.to_text() + "\n")
+    _write_out([(report.to_json() if args.format == "json" else report.to_text()) + "\n"])
     return 0 if report.all_ok else 1
 
 
@@ -517,10 +521,9 @@ def cmd_oracle(args) -> int:
         raise ConfigError(str(exc)) from exc
     if isinstance(result, Scalar):
         result = result.to_json()
-    if args.format == "json":
-        sys.stdout.write(json.dumps(result, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(f"{_render_value(result)}\n")
+    text = (json.dumps(result, sort_keys=True) if args.format == "json"
+            else _render_value(result))
+    _write_out([text + "\n"])
     return 0
 
 
@@ -861,7 +864,7 @@ def cmd_suite(args) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(out)
+        _write_out([out])
     return 0 if report.all_ok else 1
 
 

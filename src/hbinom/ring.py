@@ -429,21 +429,16 @@ class Scalar(Frozen):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        x, y = _rational_value(self), _rational_value(other)
-        if x is not None and y is not None:
-            return _from_fraction(x + y)
         d1, d2 = self._d, other._d
-        if len(d1) == 1 and len(d2) == 1:
-            return _raw(*_iadd(self._c, self._n, other._c, other._n), _I1)
-        # c1*l1*n1/d1 + c2*l2*n2/d2 over d1*d2, whose leading entry is l1*l2
+        # c1*l1*n1/d1 + c2*l2*n2/d2 = (c1/l2*n1*d2 + c2/l1*n2*d1) / (d1*d2 / (l1*l2))
         l1, l2 = d1[-1], d2[-1]
-        c, n = _iadd(self._c * l1, _imul(self._n, d2), other._c * l2, _imul(other._n, d1))
+        c, n = _iadd(self._c / l2, _imul(self._n, d2), other._c / l1, _imul(other._n, d1))
         if not n:
             return ZERO
         if len(d1) == 1 or len(d2) == 1:
             # n1/d1 + p = (n1 + p*d1)/d1 is reduced when n1/d1 is
-            return _raw(c / (l1 * l2), n, d2 if len(d1) == 1 else d1)
-        return _reduced(c / (l1 * l2), n, tuple(_imul(d1, d2)))
+            return _raw(c, n, d2 if len(d1) == 1 else d1)
+        return _reduced(c, n, tuple(_imul(d1, d2)))
 
     __radd__ = __add__
 
@@ -451,9 +446,6 @@ class Scalar(Frozen):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        x, y = _rational_value(self), _rational_value(other)
-        if x is not None and y is not None:
-            return _from_fraction(x - y)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -479,9 +471,6 @@ class Scalar(Frozen):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        x, y = _rational_value(self), _rational_value(other)
-        if x is not None and y is not None:
-            return _from_fraction(x / y)
         return _mul(self, other.inverse())
 
     def __rtruediv__(self, other):
@@ -493,9 +482,6 @@ class Scalar(Frozen):
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        x = _rational_value(self)
-        if x is not None:
-            return _from_fraction(1 / x)
         # 1 / (c*l*n/d) = d / (c*l*n), reduced because n/d is
         n, d = self._n, self._d
         return _raw(1 / (self._c * d[-1] * n[-1]), d, n)
@@ -503,11 +489,6 @@ class Scalar(Frozen):
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             return NotImplemented
-        # a rational base takes one Fraction power; other bases take the
-        # square-and-multiply route
-        x = _rational_value(self)
-        if x is not None:
-            return _from_fraction(x ** exponent)
         return _power(self, exponent, ONE)
 
     def evaluate(self, point: ScalarLike) -> "Scalar":
@@ -661,10 +642,7 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
         a, b, y = b, a, x
     if y is not None:
         return _raw(a._c * y, a._n, a._d) if y else ZERO
-    n = tuple(_imul(a._n, b._n))
-    if len(a._d) == 1 and len(b._d) == 1:
-        return _raw(a._c * b._c, n, _I1)
-    return _reduced(a._c * b._c, n, tuple(_imul(a._d, b._d)))
+    return _reduced(a._c * b._c, tuple(_imul(a._n, b._n)), tuple(_imul(a._d, b._d)))
 
 
 def _rational_value(v: Scalar) -> Fraction | None:

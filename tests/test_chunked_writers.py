@@ -2,7 +2,8 @@
 cells, only after every cell is computed: the pieces join to the reference
 bytes, no piece holds more than one chunk, concurrent batches of several
 pieces stay whole, a cache that cannot be written leaves stdout empty, and
-a reader that closes stdout early ends the run with exit 0 and a whole cache.
+a reader that closes stdout early ends the run with exit 0 and a whole cache,
+and every other command ends as quietly, with its own exit code.
 The cache key's sha256 from the builtin module matches `hashlib`'s."""
 
 import errno
@@ -126,15 +127,21 @@ def test_a_cache_that_cannot_be_written_prints_no_cells(tmp_path, capsys, monkey
     assert not cache.exists()
 
 
-def _triangle_to_pipe(max_n, fmt, cache, stdout):
-    """`hbinom triangle` on Fibonacci in a child whose stdout is buffered, as
-    it is by default."""
+def _hbinom_to_pipe(argv, stdout, unbuffered=False):
+    """`hbinom *argv` in a child whose stdout is buffered, as it is by
+    default, or unbuffered as under PYTHONUNBUFFERED=1."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    return subprocess.Popen([sys.executable, "-m", "hbinom.cli", "triangle", "--preset",
-                             "fibonacci", "--max-n", str(max_n), "--format", fmt,
-                             "--cache", str(cache)],
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "hbinom.cli", *argv],
                             stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _triangle_to_pipe(max_n, fmt, cache, stdout):
+    """`hbinom triangle` on Fibonacci, with a buffered stdout."""
+    return _hbinom_to_pipe(["triangle", "--preset", "fibonacci", "--max-n", str(max_n),
+                            "--format", fmt, "--cache", str(cache)], stdout)
 
 
 def _whole_cache(cache, max_n):
@@ -172,6 +179,52 @@ def test_a_pipe_closed_before_the_first_write_ends_the_run_quietly(tmp_path, fmt
     err = proc.stderr.read()
     assert (proc.wait(timeout=120), err) == (0, b"")
     assert _whole_cache(cache, max_n)
+
+
+STRICT_SUITE = {"specs": [{"name": "fibonacci", "preset": "fibonacci"}],
+                "families": ["hu_sun"], "max_n": 5, "oracles": ["addition"],
+                "literal_v_addition_strict": True}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,code", [
+    (["seq", "--preset", "fibonacci", "--max-n", "5"], 0),
+    (["binom", "--preset", "fibonacci", "-n", "6", "-k", "3", "--format", "json"], 0),
+    (["verify", "--preset", "fibonacci", "--family", "gould", "--max-n", "5"], 0),
+    (["verify", "--preset", "fibonacci", "--family", "binet", "--max-n", "5",
+      "--format", "json"], 0),
+    (["oracle", "--which", "gauss", "--args", "5", "2"], 0),
+    (["oracle", "--which", "md_ubinomial", "--args", "6", "3", "--s", "3", "--t", "-2",
+      "--format", "json"], 0),
+    (["suite", "--max-n", "4"], 0),
+    # a failing check still fails when nobody reads the report
+    (["suite", "--config", "{tmp}/strict.json", "--format", "json"], 1),
+], ids=["seq", "binom", "verify_text", "verify_json", "oracle_text", "oracle_json",
+        "suite", "suite_strict"])
+def test_every_command_ends_quietly_on_a_pipe_closed_before_the_first_write(
+        tmp_path, argv, code, unbuffered):
+    """Every command writes stdout through `cli._write_out`, so a closed
+    stdout leaves stderr empty and the command's own exit code."""
+    (tmp_path / "strict.json").write_text(json.dumps(STRICT_SUITE))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _hbinom_to_pipe([a.replace("{tmp}", str(tmp_path)) for a in argv],
+                               write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (code, b"")
+
+
+def test_a_reader_that_closes_a_long_sequence_early_ends_the_run_quietly():
+    """`hbinom seq --preset fibonacci --max-n 5000 | head -c 10`."""
+    proc = _hbinom_to_pipe(["seq", "--preset", "fibonacci", "--max-n", "5000"],
+                           subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err, len(head)) == (0, b"", 10)
 
 
 PAYLOADS = [b"", b"a", b'{"cache_format":1}' * 9, bytes(range(256)) * 40,

@@ -184,15 +184,26 @@ def _matches_fraction(got: Scalar, want: Fraction) -> None:
 @pytest.mark.parametrize("values", [ints, mixed], ids=["ints", "mixed"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_rational_fast_paths_match_fraction(values, data):
+def test_rational_arithmetic_matches_fraction(values, data):
     x, y = data.draw(values), data.draw(values)
+    k = data.draw(st.integers(-8, 12))
     a, b = Scalar(x), Scalar(y)
     fx, fy = Fraction(x), Fraction(y)
     # both operands Scalar, and a plain int or Fraction on either side
-    for got, want in ((a + b, fx + fy), (a + y, fx + fy), (x + b, fx + fy),
-                      (a - b, fx - fy), (a - y, fx - fy), (x - b, fx - fy),
-                      (a * b, fx * fy), (a * y, fx * fy), (x * b, fx * fy)):
+    pairs = [(a + b, fx + fy), (a + y, fx + fy), (x + b, fx + fy),
+             (a - b, fx - fy), (a - y, fx - fy), (x - b, fx - fy),
+             (a * b, fx * fy), (a * y, fx * fy), (x * b, fx * fy)]
+    if fy:
+        pairs += [(a / b, fx / fy), (a / y, fx / fy), (x / b, fx / fy)]
+    if fx:
+        pairs += [(a.inverse(), 1 / fx), (a ** k, fx ** k)]
+    for got, want in pairs:
         _matches_fraction(got, want)
+    # a zero divisor, and zero to a negative power
+    for route in (lambda: a / ZERO, lambda: a / 0, lambda: x / ZERO,
+                  lambda: ZERO.inverse(), lambda: ZERO ** -1):
+        with pytest.raises(ZeroDivisionError):
+            route()
 
 
 @given(mixed, st.integers(-8, 40))

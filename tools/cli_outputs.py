@@ -17,6 +17,8 @@ and its cache file carries a `spec_hash` from the builtin sha256 module of
 the version that ran (`_sha256` before CPython 3.12, `_sha2` from 3.12 on).
 The cached cases write cache records of every value type (strings, lists
 and {num, den} objects), for binomial triangles and multinomial slices.
+Every oracle is queried in text and json, and a strict suite whose literal
+V addition check fails must exit 1.
 """
 
 from __future__ import annotations
@@ -68,6 +70,24 @@ CACHED = {
        for fmt in ("text", "csv")},
 }
 
+# every oracle, with the arguments of tests/test_golden_cli.py
+ORACLE_ARGS = {
+    "box": ("3", "2"),
+    "zigzag": ("5", "2"),
+    "inversion": ("5", "2"),
+    "gauss": ("5", "2"),
+    "subspaces": ("3", "1", "2"),
+    "tilings": ("6", "2", "3"),
+    "bracelets": ("6", "2", "3"),
+    "md_fibonomial": ("7", "3"),
+    "errata_fibonomial": ("7", "3"),
+    "md_ubinomial": ("6", "3", "--s", "3", "--t", "-2"),
+}
+
+STRICT_SUITE = {"specs": [{"name": "fibonacci", "preset": "fibonacci"}],
+                "families": ["hu_sun"], "max_n": 5, "oracles": ["addition"],
+                "literal_v_addition_strict": True}
+
 CASES = {
     "suite_default_text": ("suite",),
     "suite_default_json": ("suite", "--format", "json"),
@@ -102,6 +122,9 @@ CASES = {
         "verify", *CACHED["cigler_qlucas_fractional_t"], "--family", family,
         "--format", "json")
        for family in ("gould", "binet")},
+    **{f"oracle_{name}_{fmt}": ("oracle", "--which", name, "--args", *args, "--format", fmt)
+       for name, args in ORACLE_ARGS.items() for fmt in ("text", "json")},
+    "suite_strict_json": ("suite", "--config", "{tmp}/strict.json", "--format", "json"),
 }
 
 
@@ -120,6 +143,8 @@ def run(argv) -> list:
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "strict.json"), "w", encoding="utf-8") as fh:
+            json.dump(STRICT_SUITE, fh)
         digests = {name: run([arg.replace("{tmp}", tmp) for arg in argv])
                    for name, argv in CASES.items()}
         for name in CACHED:
