@@ -7,17 +7,18 @@ the ratios are integral is a separate scan.
 
 Whole rows come from a second route: the splitting pair (F(n)/F(k), 0) gives
 C(n,k) = C(n-1,k-1) * F(n) / F(k), one product and one division by a single
-term per cell, with no factorial bigints.  The factorial ratio stays the
-reference route: single cells and the Pascal-family checks read it, never the
-rows.
+term per cell, with no factorial bigints.  The held rows are the one store of
+table cells: the triangle and the Pascal-family checks read them.  The
+factorial ratio is not memoized; it stays as the reference route, read by
+single cells (`binomial`) and multinomials, which the oracle checks compare
+with brute force.
 
-A table holds its terms, factorials, cells and rows once, in the number type
-of its spec's context: `int`/`Fraction` values for a spec whose entries are
-all rational, `Scalar` values for any other spec and for a plain callable.
-The readers `factorial`, `binomial`, `row` and `multinomial` give `Scalar`
-values either way; the Pascal-family checks read the held cells
-(`own_binomial`), and the triangle renders the held values (`own_row`,
-`own_multinomial`).
+A table holds its terms, factorials and rows once, in the number type of its
+spec's context: `int`/`Fraction` values for a spec whose entries are all
+rational, `Scalar` values for any other spec and for a plain callable.  The
+readers `factorial`, `binomial`, `row` and `multinomial` give `Scalar` values
+either way; the Pascal-family checks and the triangle read the held values
+(`own_row`, `own_multinomial`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def sequence_fn(seq: SequenceLike) -> Callable[[int], Scalar]:
 
 
 class BinomialTable:
-    """Memoized factorials, binomial cells and rows for one sequence, in the
+    """Memoized factorials and binomial rows for one sequence, in the
     sequence's own number type; the `own_` readers give the held values.
     A spec's terms are read from its context, a plain callable's are
     memoized here."""
@@ -66,7 +67,6 @@ class BinomialTable:
         self._nonzero = 0   # F(1..nonzero) are known to be nonzero
         one = self._own(ONE)
         self._fact = [one]
-        self._cells: dict[tuple[int, int], object] = {}
         self._rows = [(one,)]
 
     def _term(self, i: int):
@@ -108,19 +108,9 @@ class BinomialTable:
     def row(self, n: int) -> tuple[Scalar, ...]:
         return tuple(map(lift, self.own_row(n)))
 
-    def own_binomial(self, n: int, k: int):
-        """C(n,k) by the factorial ratio."""
-        if k < 0 or k > n:
-            return self._own(ZERO)
-        key = (n, k)
-        value = self._cells.get(key)
-        if value is None:
-            fact = self.own_factorial
-            value = self._cells[key] = ndiv(fact(n), fact(k) * fact(n - k))
-        return value
-
     def binomial(self, n: int, k: int) -> Scalar:
-        return lift(self.own_binomial(n, k))
+        """C(n,k) by the factorial ratio; 0 for k < 0 or k > n."""
+        return self.multinomial((k, n - k))
 
     def own_multinomial(self, parts: Iterable[int]):
         """(p1 + p2 + ...)! / (p1! p2! ...) by the factorial ratio; 0 when a

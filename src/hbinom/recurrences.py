@@ -9,14 +9,14 @@ h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
 
 Each family's rule is written once, over + - * ** and truth tests, with
 rational divisions through `ring.ndiv` (`int / int` would give a float; no
-rule divides an extension value).  The checks read the terms and cells that
-the spec's context holds, in the spec's own number type: a table whose spec
-has rational entries is checked on `int`/`Fraction` terms and cells, and on
-`NativeExt` pairs built from terms for the closed-form families.  Any other
-table runs the same rules on `Scalar` and `QuadExt`.  Values leave the module
-as `Scalar` and `QuadExt` on both routes: the pairs of `family_coeffs`,
-`coeffs_binet` and `coeffs_alternating`, and the sides in cell records and
-error messages.
+rule divides an extension value).  The checks read the terms and the rows of
+cells that the spec's context holds, in the spec's own number type: a table
+whose spec has rational entries is checked on `int`/`Fraction` terms and
+cells, and on `NativeExt` pairs built from terms for the closed-form
+families.  Any other table runs the same rules on `Scalar` and `QuadExt`.
+Values leave the module as `Scalar` and `QuadExt` on both routes: the pairs
+of `family_coeffs`, `coeffs_binet` and `coeffs_alternating`, and the sides in
+cell records and error messages.
 """
 
 from __future__ import annotations
@@ -367,10 +367,11 @@ class PascalReport:
         return [c for c in self.cells if not c.ok]
 
 
-def _check_cell(fn: Callable[[int], object] | None,
-                cell: Callable[[int, int], object], pair: CoeffPair) -> CellCheck:
-    """Table identity at the pair's cell, and the scalar identity over `fn`
-    unless `fn` is None because it is already known to hold."""
+def _check_cell(fn: Callable[[int], object] | None, above: tuple, row: tuple,
+                pair: CoeffPair) -> CellCheck:
+    """Table identity at the pair's cell, read from the held rows r+s-1
+    (`above`) and r+s (`row`), and the scalar identity over `fn` unless `fn`
+    is None because it is already known to hold."""
     r, s = pair.r, pair.s
     scalar_ok, witness = True, (None, None)
     if fn is not None:
@@ -378,8 +379,7 @@ def _check_cell(fn: Callable[[int], object] | None,
         scalar_ok = lhs == rhs
         if not scalar_ok:
             witness = lhs, rhs
-    lhs, rhs = _split_sides(pair, cell(r + s - 1, r - 1), cell(r + s - 1, r),
-                            cell(r + s, r))
+    lhs, rhs = _split_sides(pair, above[r - 1], above[r], row[r])
     table_ok = lhs == rhs
     if scalar_ok and not table_ok:
         witness = lhs, rhs
@@ -406,7 +406,7 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
     else:
         tag = getattr(rule, "__name__", "custom")
         pairs = rule
-    cell = table_for(seq).own_binomial
+    rows = table_for(seq).own_row
     report = PascalReport(tag, max_n)
     for total in range(2, max_n + 1):
         for r in range(1, total):
@@ -414,7 +414,7 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
             h1 = pair.h1
             if isinstance(h1, (QuadExt, NativeExt)) and (h1.beta or pair.h2.beta):
                 report.uses_extension = True
-            report.cells.append(_check_cell(fn, cell, pair))
+            report.cells.append(_check_cell(fn, rows(total - 1), rows(total), pair))
     return report
 
 
@@ -443,13 +443,14 @@ def vweighted_verify(spec: HoradamSpec, max_n: int) -> VWeightedReport:
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     u_ctx, v_ctx = context(spec).companions
-    cell = table_for(u_ctx.spec).own_binomial
+    rows = table_for(u_ctx.spec).own_row
     v = v_ctx.own_term
     report = VWeightedReport(spec.s, spec.t, max_n)
     for total in range(2, max_n + 1):
+        above, row = rows(total - 1), rows(total)
         for r in range(1, total):
             s = total - r
-            lhs = 2 * cell(total, r)
-            rhs = v(s) * cell(total - 1, r - 1) + v(r) * cell(total - 1, r)
+            lhs = 2 * row[r]
+            rhs = v(s) * above[r - 1] + v(r) * above[r]
             report.cells.append(VWeightedCell(r, s, lhs == rhs, lift(lhs), lift(rhs)))
     return report

@@ -593,13 +593,14 @@ def _power(base, exponent: int, one):
     negative exponent inverts the base first."""
     if exponent < 0:
         base, exponent = base.inverse(), -exponent
-    result = one
+    result = None
     while exponent:
         if exponent & 1:
-            result = result * base
-        base = base * base
+            result = base if result is None else result * base
         exponent >>= 1
-    return result
+        if exponent:
+            base = base * base
+    return one if result is None else result
 
 
 # the slot setters Frozen binds: they skip the immutability guard, and a

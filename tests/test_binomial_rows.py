@@ -1,10 +1,14 @@
 """The row route of BinomialTable against the factorial ratio, cell by cell."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbinom import sequences
 from hbinom.binomials import BinomialTable, ZeroTermError, table_for
+from hbinom.recurrences import CoeffFamily, verify_pascal, vweighted_verify
 from hbinom.ring import X, Scalar
 from hbinom.sequences import HoradamSpec, preset
 
@@ -25,8 +29,9 @@ polys = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
 
 
 def assert_routes_agree(spec, max_n: int) -> None:
-    """Each row equals the factorial-ratio cells, on separate tables; a zero
-    term stops both routes at the same index."""
+    """Each row equals the factorial-ratio cells, on separate tables, both as
+    lifted and as held values; a zero term stops both routes at the same
+    index."""
     rows, cells = BinomialTable(spec), BinomialTable(spec)
     for n in range(max_n + 1):
         try:
@@ -39,6 +44,9 @@ def assert_routes_agree(spec, max_n: int) -> None:
         assert row == tuple(cells.binomial(n, k) for k in range(n + 1)), n
         assert [v.to_json() for v in row] == [cells.binomial(n, k).to_json()
                                              for k in range(n + 1)]
+        for k, held in enumerate(rows.own_row(n)):
+            ref = cells.own_multinomial((k, n - k))
+            assert type(held) is type(ref) and held == ref, (n, k)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -78,12 +86,21 @@ def test_zero_term_raises_the_same_index_on_both_routes():
         assert info.value.index == 3
 
 
-def test_rows_leave_the_reference_cells_alone():
-    # the Pascal-family checks read `binomial`; they must never see row cells
-    tbl = BinomialTable(preset("pell"))
-    tbl.row(10)
-    assert tbl._cells == {}
-    assert tbl.binomial(10, 4) == tbl.row(10)[4]
+@pytest.mark.parametrize("check", [
+    lambda spec, max_n: verify_pascal(spec, CoeffFamily.hu_sun(1, 1), max_n).failures,
+    lambda spec, max_n: [c for c in vweighted_verify(spec, max_n).cells if not c.ok],
+], ids=["hu_sun", "vweighted"])
+def test_the_pascal_checks_read_the_held_rows(check, monkeypatch):
+    # a fresh memo, so the planted cell stays in this test
+    monkeypatch.setattr(sequences, "_contexts", OrderedDict())
+    fib = preset("fibonacci")
+    tbl = table_for(fib)
+    tbl.own_row(8)
+    row = list(tbl._rows[6])
+    row[2] += 1
+    tbl._rows[6] = tuple(row)
+    # C(6,2) is the whole side of cell (2, 4) and a part of the cells of row 7
+    assert (2, 4) in [(c.r, c.s) for c in check(fib, 8)]
 
 
 def test_row_index_must_be_nonnegative():

@@ -1,4 +1,4 @@
-"""Each spec's memo holds its terms, factorials, cells and rows once, in the
+"""Each spec's memo holds its terms, factorials and rows once, in the
 spec's own number type: ints and Fractions for a rational spec, Scalars
 otherwise."""
 
@@ -29,13 +29,14 @@ def test_a_default_suite_leaves_one_store_per_concept(monkeypatch):
         assert all(isinstance(v, kind) for v in ctx._values)
         tbl = ctx.table
         if tbl is not None:
-            assert set(_stores(tbl)) == {"_fact", "_cells", "_rows"}
-            held = tbl._fact + list(tbl._cells.values()) + [v for r in tbl._rows for v in r]
+            assert set(_stores(tbl)) == {"_fact", "_rows"}
+            held = tbl._fact + [v for r in tbl._rows for v in r]
             assert all(isinstance(v, kind) for v in held)
     assert any(type(v) is Scalar for ctx in contexts for v in ctx._values)
     for name in ("native_term", "_natives"):
         assert not hasattr(SeqContext, name)
         assert not any(hasattr(ctx, name) for ctx in contexts)
-    for name in ("native_binomial", "_native_factorial", "_native_fact", "_native_cells"):
+    for name in ("native_binomial", "_native_factorial", "_native_fact", "_native_cells",
+                 "own_binomial", "_cells"):
         assert not hasattr(BinomialTable, name)
         assert not any(hasattr(tbl, name) for tbl in tables)

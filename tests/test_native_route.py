@@ -157,11 +157,12 @@ def test_native_values_are_never_floats(name):
                 assert _exact(pair.h1) and _exact(pair.h2), (tag, r)
                 if tag == "binet" or (tag == "alternating" and 2 * r == total):
                     assert type(pair.h1) is NativeExt is type(pair.h2), (tag, r)
-    # the stored terms, factorials and cells are settled
+    # the stored terms, factorials and rows are settled
     assert all(_settled(v) for v in context(spec)._values)
     tbl = table_for(spec)
+    tbl.own_row(MAX_N)
     assert all(_settled(v) for v in tbl._fact)
-    assert all(_settled(v) for v in tbl._cells.values())
+    assert all(_settled(v) for row in tbl._rows for v in row)
     assert all(_settled(v) for v in context(to_binet(spec).conjugate)._values)
 
 
@@ -214,7 +215,8 @@ def test_the_route_follows_the_spec(monkeypatch):
     assert recurrences._numbers(fib) is NATIVE
     assert recurrences._numbers(poly) is recurrences.SCALAR
     verify_pascal(fib, CoeffFamily.hu_sun(1, 1), 5)
-    assert table_for(fib)._cells
+    rows = table_for(fib)._rows
+    assert len(rows) > 5 and all(type(v) is int for row in rows for v in row)
     _on_scalars(monkeypatch)
     assert recurrences._numbers(fib) is recurrences.SCALAR
 

@@ -210,13 +210,22 @@ def test_rational_arithmetic_matches_fraction(values, data):
 @settings(max_examples=120, deadline=None)
 def test_rational_power_matches_square_and_multiply(x, k):
     base = Scalar(x)
+
+    def folded():
+        """base**k as |k| plain products, inverted for k < 0."""
+        result = ONE
+        for _ in range(abs(k)):
+            result = result * base
+        return result.inverse() if k < 0 else result
+
     if x == 0 and k < 0:
-        for route in (lambda: base ** k, lambda: _power(base, k, ONE)):
+        for route in (lambda: base ** k, lambda: _power(base, k, ONE), folded):
             with pytest.raises(ZeroDivisionError):
                 route()
         return
-    got, ref = base ** k, _power(base, k, ONE)
+    got, ref = _power(base, k, ONE), folded()
     assert got == ref
+    assert base ** k == got
     assert got.to_json() == ref.to_json()
     _matches_fraction(got, Fraction(x) ** k)
 

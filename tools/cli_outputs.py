@@ -11,7 +11,8 @@ Two versions agree when their files are byte-identical.  The cases mix int
 and Fraction values (rational specs with integral and non-integral entries),
 polynomial cells (some with fractional contents), rational-function cells,
 closed-form pairs on split fractional and polynomial roots, Pascal checks
-whose cells cancel a polynomial gcd, and the default suite.  A cached
+on polynomial cells and on cells that cancel a polynomial gcd, a check
+stopped by a zero term, and the default suite.  A cached
 Fibonacci triangle spans several chunks of the triangle and cache writers,
 and its cache file carries a `spec_hash` from the builtin sha256 module of
 the version that ran (`_sha256` before CPython 3.12, `_sha2` from 3.12 on).
@@ -116,6 +117,13 @@ CASES = {
                                    "--format", "json")
        for name, (args, max_n) in CLOSED_FORM_SPECS.items()
        for family in ("binet", "alternating")},
+    # the Pascal checks on polynomial cells, read from the held rows
+    **{f"verify_{family}_cigler_qfib": ("verify", "--preset", "cigler_qfib", "--family",
+                                        family, "--max-n", "12", "--format", "json")
+       for family in ("gould", "gould_symmetric", "hu_sun", "vweighted")},
+    # U(1, -1) has U(3) = 0: exit 1, naming index 3
+    "verify_hu_sun_zero_term": ("verify", "--preset", "u", "--s", "1", "--t=-1",
+                                "--family", "hu_sun", "--max-n", "6"),
     # rational-function cells with fractional contents: each check cancels
     # the Euclidean gcd of a cell's held int tuples
     **{f"verify_{family}_cigler_qlucas_fractional_t": (
