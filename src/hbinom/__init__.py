@@ -12,9 +12,9 @@ from .binomials import (BinomialTable, MultinomialCheck, QstarReport,
                         integrality_scan, multinomial_product_check,
                         qstar_transfer, table_for)
 from .recurrences import (CellCheck, CoeffFamily, CoeffPair, PascalReport,
-                          SingularCoefficientError, VWeightedReport,
-                          coeffs_alternating, coeffs_binet, family_coeffs,
-                          family_sequence, verify_pascal, vweighted_verify)
+                          SingularCoefficientError, coeffs_alternating,
+                          coeffs_binet, family_coeffs, family_sequence,
+                          verify_pascal, vweighted_verify)
 from .report import ENGINE_VERSION, CheckRecord, Report
 
 __version__ = ENGINE_VERSION
@@ -31,7 +31,6 @@ __all__ = [
     "integrality_scan", "QstarReport", "qstar_transfer",
     "CoeffPair", "CoeffFamily", "SingularCoefficientError",
     "coeffs_binet", "coeffs_alternating", "family_coeffs", "family_sequence",
-    "CellCheck", "PascalReport", "verify_pascal",
-    "VWeightedReport", "vweighted_verify",
+    "CellCheck", "PascalReport", "verify_pascal", "vweighted_verify",
     "Report", "CheckRecord", "ENGINE_VERSION",
 ]

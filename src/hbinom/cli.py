@@ -23,17 +23,15 @@ from fractions import Fraction
 from . import oracles
 from .binomials import (ZeroTermError, fbinomial, integrality_scan, mirror,
                         qstar_transfer, table_for)
-from .recurrences import (FAMILY_TAGS, FamilyRequirementError,
+from .recurrences import (VERIFY_FAMILIES, FamilyRequirementError,
                           ScalarIdentityError, SingularCoefficientError,
-                          resolve_family, verify_pascal, vweighted_verify)
+                          verify_family)
 from .report import ENGINE_VERSION, Report
 from .ring import Scalar, exact_rational
 from .sequences import (DegenerateRootsError, HoradamSpec, addition_check,
                         preset, series_verify, term)
 
 CACHE_DIR_ENV = "HBINOM_CACHE_DIR"
-
-VERIFY_FAMILIES = FAMILY_TAGS + ("vweighted",)
 
 
 class ConfigError(Exception):
@@ -380,8 +378,7 @@ def cmd_binom(args) -> int:
     if args.k < 0 or args.n < 0:
         raise ConfigError("indices must be nonnegative")
     value = fbinomial(spec, args.n, args.k)
-    rows = [{"n": args.n, "k": args.k, "value": value.to_json()}]
-    _write_out([_rows_to_stream(rows, args.format, ["n", "k", "value"])])
+    _write_out(_triangle_chunks([(args.n, args.k, value.to_json())], args.format))
     return 0
 
 
@@ -425,12 +422,6 @@ def cmd_triangle(args) -> int:
     return 0
 
 
-def _witness(cell) -> tuple[str, str]:
-    """Both exact sides of a failing cell; empty strings for a passing one,
-    which the report leaves out."""
-    return ("", "") if cell.ok else (str(cell.lhs), str(cell.rhs))
-
-
 def cmd_verify(args) -> int:
     spec = parse_spec_args(args)
     if args.max_n < 1:
@@ -439,16 +430,9 @@ def cmd_verify(args) -> int:
     if tag not in VERIFY_FAMILIES:
         raise ConfigError(f"unknown family {tag!r}; choose from {', '.join(VERIFY_FAMILIES)}")
     report = Report()
-    if tag == "vweighted":
-        vw = vweighted_verify(spec, args.max_n)
-        for cell in vw.cells:
-            report.add("vweighted", (cell.r, cell.s), cell.ok,
-                       str(cell.lhs), str(cell.rhs))
-    else:
-        family = resolve_family(tag, spec)
-        pascal = verify_pascal(family.seq, family, args.max_n)
-        for cell in pascal.cells:
-            report.add(f"pascal:{tag}", (cell.r, cell.s), cell.ok, *_witness(cell))
+    check = tag if tag == "vweighted" else f"pascal:{tag}"
+    for cell in verify_family(tag, spec, args.max_n).cells:
+        report.add(check, (cell.r, cell.s), cell.ok, cell.lhs, cell.rhs)
     _write_out([(report.to_json() if args.format == "json" else report.to_text()) + "\n"])
     return 0 if report.all_ok else 1
 
@@ -658,25 +642,18 @@ def _suite_families(report: Report, config: SuiteConfig) -> None:
     for name, spec in config.specs:
         for tag in config.families:
             check = f"pascal:{tag}:{name}"
-            note = ""
             try:
-                if tag == "vweighted":
-                    bad = [c for c in vweighted_verify(spec, config.max_n).cells
-                           if not c.ok]
-                else:
-                    family = resolve_family(tag, spec)
-                    pascal = verify_pascal(family.seq, family, config.max_n)
-                    bad = pascal.failures
-                    if pascal.uses_extension:
-                        note = "coefficients live in the quadratic extension"
+                pascal = verify_family(tag, spec, config.max_n)
             except (FamilyRequirementError, DegenerateRootsError, ZeroTermError,
                     SingularCoefficientError) as exc:
                 report.skip(check, (config.max_n,), str(exc))
                 continue
+            bad = pascal.failures
+            note = "coefficients live in the quadratic extension" if pascal.uses_extension else ""
+            sides = (None, None)
             if bad:
-                note = f"first failure at ({bad[0].r},{bad[0].s})"
-            report.add(check, (config.max_n,), not bad,
-                       *(_witness(bad[0]) if bad else ("", "")), note)
+                sides, note = (bad[0].lhs, bad[0].rhs), f"first failure at ({bad[0].r},{bad[0].s})"
+            report.add(check, (config.max_n,), not bad, *sides, note)
 
 
 def _suite_addition(report: Report, config: SuiteConfig) -> None:
@@ -690,8 +667,8 @@ def _suite_addition(report: Report, config: SuiteConfig) -> None:
         report.add(f"addition:double_u:{name}", (bound,), all(c.u_ok for c in checks))
         report.add(f"addition:double_v:{name}", (bound,),
                    all(c.v_corrected_ok for c in checks))
-        lhs = str(witness.v_literal_lhs) if witness else ""
-        rhs = str(witness.v_literal_rhs) if witness else ""
+        lhs = witness.v_literal_lhs if witness else None
+        rhs = witness.v_literal_rhs if witness else None
         if config.literal_v_addition_strict:
             report.add(f"addition:double_v_literal:{name}", (bound,),
                        literal_ok, lhs, rhs,
@@ -707,7 +684,7 @@ def _suite_addition(report: Report, config: SuiteConfig) -> None:
 
 def _suite_fourway(report: Report, config: SuiteConfig) -> None:
     ok = True
-    witness = ("", "")
+    witness = (None, None)
     for n in range(min(config.max_n, 8) + 1):
         for k in range(n + 1):
             gauss = [int(c) for c in oracles.gaussian_binomial(n, k).num_coeffs]
@@ -758,8 +735,7 @@ def _suite_md_formulas(report: Report, config: SuiteConfig) -> None:
     deviates = any(oracles.errata_fibonomial(n, k) != fbinomial(fib, n, k).as_int()
                    for n in range(2, 9) for k in range(2, n + 1))
     report.add("oracle:errata_control", (5, 3), reproduced and deviates,
-               str(oracles.errata_fibonomial(5, 3)),
-               str(fbinomial(fib, 5, 3)),
+               oracles.errata_fibonomial(5, 3), fbinomial(fib, 5, 3),
                "control: misprinted variant reproduces the published 11 "
                "and disagrees with the true table")
 
@@ -776,13 +752,12 @@ def _suite_integrality(report: Report, config: SuiteConfig) -> None:
         u_spec = preset("u", s=s, t=t)
         violations = integrality_scan(u_spec, min(config.max_n * 2, 20))
         report.add(f"integrality:u:s{s}t{t}", (min(config.max_n * 2, 20),),
-                   not violations,
-                   str(violations[0][2]) if violations else "", "")
+                   not violations, violations[0][2] if violations else None)
     lucas_v = preset("v", s=1, t=1)
     violations = integrality_scan(lucas_v, 4)
     expected = [(4, 2, Scalar(Fraction(28, 3)))]
     report.add("integrality:lucas_v_control", (4,), violations == expected,
-               str(violations), str(expected),
+               violations, expected,
                "control: companion-sequence table is not integral")
 
 

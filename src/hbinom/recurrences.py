@@ -6,6 +6,8 @@ If a coefficient pair (h1, h2) satisfies the scalar identity
 This module builds the classical coefficient families, checks the scalar
 identity on construction, and verifies the cell identity over whole tables.
 h1 always multiplies F(r) and the (r-1, s) cell; h2 the other pair.
+`verify_family` runs any check of VERIFY_FAMILIES, a family's or the
+companion-weighted one (`vweighted_verify`), into a `PascalReport` of cells.
 
 Each family's rule is written once, over + - * ** and truth tests, with
 rational divisions through `ring.ndiv` (`int / int` would give a float; no
@@ -350,7 +352,7 @@ class CellCheck(Frozen):
 
 
 class PascalReport:
-    """Cell-by-cell verification of the two-term recurrence on one table."""
+    """Cell-by-cell verification of a two-term recurrence on one table."""
 
     def __init__(self, family: str, max_n: int):
         self.family = family
@@ -419,33 +421,20 @@ def verify_pascal(seq: SequenceLike, rule: PairRule, max_n: int) -> PascalReport
 
 
 class VWeightedCell(Frozen):
+    """Outcome at one companion-weighted cell, with both exact sides."""
+
     __slots__ = ("r", "s", "ok", "lhs", "rhs")
 
 
-class VWeightedReport:
-    """Verification of 2*{r+s choose r} = V(s)*{r+s-1 choose r-1} +
-    V(r)*{r+s-1 choose r} on the fundamental-sequence table."""
-
-    def __init__(self, s: Scalar, t: Scalar, max_n: int):
-        self.s = s
-        self.t = t
-        self.max_n = max_n
-        self.cells: list[VWeightedCell] = []
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.ok for c in self.cells)
-
-
-def vweighted_verify(spec: HoradamSpec, max_n: int) -> VWeightedReport:
-    """Check the companion-weighted recurrence for the (s, t) drawn from `spec`,
-    on native values when s and t are rational."""
+def vweighted_verify(spec: HoradamSpec, max_n: int) -> PascalReport:
+    """Check 2*{r+s choose r} = V(s)*{r+s-1 choose r-1} + V(r)*{r+s-1 choose r}
+    on the U(s, t) table of `spec`'s (s, t), natively when s, t are rational."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     u_ctx, v_ctx = context(spec).companions
     rows = table_for(u_ctx.spec).own_row
     v = v_ctx.own_term
-    report = VWeightedReport(spec.s, spec.t, max_n)
+    report = PascalReport("vweighted", max_n)
     for total in range(2, max_n + 1):
         above, row = rows(total - 1), rows(total)
         for r in range(1, total):
@@ -454,3 +443,16 @@ def vweighted_verify(spec: HoradamSpec, max_n: int) -> VWeightedReport:
             rhs = v(s) * above[r - 1] + v(r) * above[r]
             report.cells.append(VWeightedCell(r, s, lhs == rhs, lift(lhs), lift(rhs)))
     return report
+
+
+VERIFY_FAMILIES = FAMILY_TAGS + ("vweighted",)
+
+
+def verify_family(tag: str, spec: HoradamSpec, max_n: int) -> PascalReport:
+    """The check named `tag` in VERIFY_FAMILIES on the table it certifies for
+    `spec`: the companion-weighted recurrence for "vweighted", and
+    `verify_pascal` of the registry family otherwise."""
+    if tag == "vweighted":
+        return vweighted_verify(spec, max_n)
+    family = resolve_family(tag, spec)
+    return verify_pascal(family.seq, family, max_n)

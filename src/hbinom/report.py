@@ -21,14 +21,21 @@ def utc_isoformat(ns: int) -> str:
     return f"{stamp}.{us:06d}+00:00" if us else f"{stamp}+00:00"
 
 
+def _side(value) -> str:
+    return "" if value is None else str(value)
+
+
 class CheckRecord:
     """One verified fact: an identifier, the indices it was checked at, the
-    outcome, and both exact sides rendered as strings."""
+    outcome, and both exact sides as values, None for a side not given.  The
+    sides are rendered with `str` when the record is written, and only then:
+    text writes them for a failing record, json for any record with a side.
+    A side is tested against None, never for truth: a zero Scalar is false."""
 
     __slots__ = ("check", "indices", "status", "lhs", "rhs", "note")
 
     def __init__(self, check: str, indices: tuple, status: str,
-                 lhs: str = "", rhs: str = "", note: str = ""):
+                 lhs: object = None, rhs: object = None, note: str = ""):
         self.check = check
         self.indices = indices
         self.status = status
@@ -39,9 +46,9 @@ class CheckRecord:
     def to_dict(self) -> dict:
         out = {"check": self.check, "indices": list(self.indices),
                "status": self.status}
-        if self.lhs or self.rhs:
-            out["lhs"] = self.lhs
-            out["rhs"] = self.rhs
+        if self.lhs is not None or self.rhs is not None:
+            out["lhs"] = _side(self.lhs)
+            out["rhs"] = _side(self.rhs)
         if self.note:
             out["note"] = self.note
         return out
@@ -54,7 +61,7 @@ class Report:
         self.records: list[CheckRecord] = []
 
     def add(self, check: str, indices: tuple, ok: bool,
-            lhs: str = "", rhs: str = "", note: str = "") -> CheckRecord:
+            lhs: object = None, rhs: object = None, note: str = "") -> CheckRecord:
         rec = CheckRecord(check, indices, PASS if ok else FAIL, lhs, rhs, note)
         self.records.append(rec)
         return rec
@@ -94,8 +101,8 @@ class Report:
         for r in self.records:
             head = f"[{r.status.upper():4}] {r.check} {tuple(r.indices)}"
             tail = ""
-            if r.status == FAIL and (r.lhs or r.rhs):
-                tail = f" lhs={r.lhs} rhs={r.rhs}"
+            if r.status == FAIL and (r.lhs is not None or r.rhs is not None):
+                tail = f" lhs={_side(r.lhs)} rhs={_side(r.rhs)}"
             if r.note:
                 tail += f" ({r.note})"
             lines.append(head + tail)

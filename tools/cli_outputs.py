@@ -19,7 +19,9 @@ the version that ran (`_sha256` before CPython 3.12, `_sha2` from 3.12 on).
 The cached cases write cache records of every value type (strings, lists
 and {num, den} objects), for binomial triangles and multinomial slices.
 Every oracle is queried in text and json, and a strict suite whose literal
-V addition check fails must exit 1.
+V addition check fails must exit 1.  The verify reports are json, and also
+text for vweighted and hu_sun on Fibonacci and on cigler_qfib; the zero-term
+case is text only.
 """
 
 from __future__ import annotations
@@ -121,6 +123,12 @@ CASES = {
     **{f"verify_{family}_cigler_qfib": ("verify", "--preset", "cigler_qfib", "--family",
                                         family, "--max-n", "12", "--format", "json")
        for family in ("gould", "gould_symmetric", "hu_sun", "vweighted")},
+    # text reports, which write the exact sides of failing records only
+    **{f"verify_{family}_{name}_text": ("verify", *args, "--family", family, "--max-n", "10",
+                                        "--format", "text")
+       for name, args in (("fibonacci", SPECS["fibonacci"]),
+                          ("cigler_qfib", ("--preset", "cigler_qfib")))
+       for family in ("vweighted", "hu_sun")},
     # U(1, -1) has U(3) = 0: exit 1, naming index 3
     "verify_hu_sun_zero_term": ("verify", "--preset", "u", "--s", "1", "--t=-1",
                                 "--family", "hu_sun", "--max-n", "6"),
